@@ -32,151 +32,26 @@
    fields are always fatal: a baseline lacking a gated field predates the
    current bench and must be regenerated deliberately.
 
-   The parser below covers exactly the JSON subset bench/main.ml emits; no
-   external dependencies. *)
+   Reports are read with the shared strict parser (Gpos.Json). *)
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Parse_error of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal word v =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      v
-    end
-    else fail (Printf.sprintf "expected '%s'" word)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec loop () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some 'n' -> Buffer.add_char buf '\n'; advance (); loop ()
-          | Some 't' -> Buffer.add_char buf '\t'; advance (); loop ()
-          | Some 'r' -> Buffer.add_char buf '\r'; advance (); loop ()
-          | Some (('"' | '\\' | '/') as c) -> Buffer.add_char buf c; advance (); loop ()
-          | Some 'u' ->
-              (* enough for our reports: keep the escape verbatim *)
-              Buffer.add_string buf "\\u"; advance (); loop ()
-          | _ -> fail "bad escape")
-      | Some c ->
-          Buffer.add_char buf c;
-          advance ();
-          loop ()
-    in
-    loop ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char c =
-      (c >= '0' && c <= '9')
-      || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while (match peek () with Some c when num_char c -> true | _ -> false) do
-      advance ()
-    done;
-    let lit = String.sub s start (!pos - start) in
-    match float_of_string_opt lit with
-    | Some f -> f
-    | None -> fail (Printf.sprintf "bad number '%s'" lit)
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then (advance (); Obj [])
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); members ((k, v) :: acc)
-            | Some '}' -> advance (); Obj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          members []
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then (advance (); Arr [])
-        else begin
-          let rec elems acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); elems (v :: acc)
-            | Some ']' -> advance (); Arr (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          elems []
-        end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (parse_number ())
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let member name = function
-  | Obj kvs -> List.assoc_opt name kvs
-  | _ -> None
+module Json = Gpos.Json
 
 let num_field obj name =
-  match member name obj with
-  | Some (Num f) -> f
-  | _ -> failwith (Printf.sprintf "missing numeric field %S in summary" name)
+  match Option.bind (Json.member name obj) Json.to_float with
+  | Some f -> f
+  | None -> failwith (Printf.sprintf "missing numeric field %S in summary" name)
 
 let load path =
   let ic = open_in_bin path in
   let len = in_channel_length ic in
   let s = really_input_string ic len in
   close_in ic;
-  match member "summary" (parse_json s) with
-  | Some summary -> summary
-  | None -> failwith (Printf.sprintf "%s: no \"summary\" object" path)
+  match Json.of_string s with
+  | Error msg -> failwith (Printf.sprintf "%s: %s" path msg)
+  | Ok report -> (
+      match Json.member "summary" report with
+      | Some summary -> summary
+      | None -> failwith (Printf.sprintf "%s: no \"summary\" object" path))
 
 (* Counters gated both ways: a swing beyond tolerance in either direction
    means the search shape changed and the committed baseline is stale. *)
@@ -251,7 +126,7 @@ let serve_gate ~check ~tol ~q_tolerance baseline fresh =
      still inside its error budget (burn <= 1.0) never fails — a 0-burn
      baseline would otherwise make any nonzero burn fatal on a slow
      runner. A summary without the block is a stale baseline. *)
-  (match (member "slo" baseline, member "slo" fresh) with
+  (match (Json.member "slo" baseline, Json.member "slo" fresh) with
   | Some b, Some f ->
       List.iter
         (fun name ->
@@ -286,13 +161,13 @@ let serve_gate ~check ~tol ~q_tolerance baseline fresh =
    must be regenerated deliberately. *)
 
 let str_field obj name =
-  match member name obj with
-  | Some (Str s) -> s
+  match Json.member name obj with
+  | Some (Json.Str s) -> s
   | _ -> failwith (Printf.sprintf "missing string field %S in class entry" name)
 
 let acc_classes summary =
-  match member "classes" summary with
-  | Some (Arr cs) -> List.map (fun c -> (str_field c "class", c)) cs
+  match Json.member "classes" summary with
+  | Some (Json.Arr cs) -> List.map (fun c -> (str_field c "class", c)) cs
   | _ -> failwith "accuracy report: no \"classes\" array in summary"
 
 let accuracy_gate ~check ~tolerance baseline fresh =

@@ -264,34 +264,36 @@ let accuracy_one env label sql : Prov.Accuracy.t =
   let _rows, metrics = Exec.Executor.run env.cluster plan in
   accuracy_of ~metrics plan
 
-let write_file = Emit.write_file
+let write_file path contents =
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents)
 
 (* The committed-baseline shape (BENCH_accuracy.json): bench/gate.ml reads
    the "summary" object, same as the opt-speed baseline. *)
 let acc_stats_json ~sf ~segs ~queries ~unsupported
     (stats : Obs.Report.acc_stat list) =
-  Emit.render
-    (Emit.Obj
+  let float6 v = Gpos.Json.Num (Gpos.Json.fixed 6 v) in
+  Gpos.Json.pretty
+    (Obj
        [
-         ("bench", Emit.Str "accuracy");
-         ("sf", Emit.Gfloat sf);
-         ("segments", Emit.Int segs);
+         ("bench", Str "accuracy");
+         ("sf", Num (Gpos.Json.general 6 sf));
+         ("segments", Gpos.Json.int segs);
          ( "summary",
-           Emit.Obj
+           Obj
              [
-               ("queries", Emit.Int queries);
-               ("unsupported", Emit.Int unsupported);
+               ("queries", Gpos.Json.int queries);
+               ("unsupported", Gpos.Json.int unsupported);
                ( "classes",
-                 Emit.List
+                 Arr
                    (List.map
                       (fun (a : Obs.Report.acc_stat) ->
-                        Emit.Obj
+                        Gpos.Json.Obj
                           [
-                            ("class", Emit.Str a.Obs.Report.a_class);
-                            ("nodes", Emit.Int a.Obs.Report.a_nodes);
-                            ("geomean", Emit.Float (Obs.Report.acc_geomean a));
-                            ("max", Emit.Float a.Obs.Report.a_max);
-                            ("unobserved", Emit.Int a.Obs.Report.a_unobserved);
+                            ("class", Str a.Obs.Report.a_class);
+                            ("nodes", Gpos.Json.int a.Obs.Report.a_nodes);
+                            ("geomean", float6 (Obs.Report.acc_geomean a));
+                            ("max", float6 a.Obs.Report.a_max);
+                            ("unobserved", Gpos.Json.int a.Obs.Report.a_unobserved);
                           ])
                       stats) );
              ] );

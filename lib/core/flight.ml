@@ -18,8 +18,10 @@ let dump_path ~dir ~fingerprint ~seq =
    re-run normally succeeds and the dump carries the expected plan plus
    the full trace; for a failing query the deterministic re-run fails
    again and [optimize_with_capture] hands back the failure dump with the
-   partial trace. Never lets the capture itself take the caller down. *)
-let recapture ~(config : Orca_config.t) ~make_accessor ~reason query =
+   partial trace. Never lets the capture itself take the caller down. The
+   dump is named after [seq], the ring entry number claimed for this query
+   beforehand, so concurrent recaptures of one shape never share a file. *)
+let recapture ~(config : Orca_config.t) ~make_accessor ~reason ~seq query =
   match Telemetry.Recorder.dump_dir () with
   | None -> None
   | Some dir -> (
@@ -53,17 +55,18 @@ let recapture ~(config : Orca_config.t) ~make_accessor ~reason query =
         let path =
           dump_path ~dir
             ~fingerprint:(Telemetry.Metrics.fingerprint (Dxl.Dxl_query.to_string query))
-            ~seq:(Telemetry.Recorder.total () + 1)
+            ~seq
         in
         Ampere.save dump path;
         Telemetry.Metrics.inc Telemetry.Std.flight_dumps;
         Some path
       with _ -> None)
 
-let record_entry ~label ~fingerprint ~ms ~groups ~gexprs ~cost ~phases ~status
-    ~dump =
+let record_entry ?seq ~label ~fingerprint ~ms ~groups ~gexprs ~cost ~phases
+    ~status ~dump () =
   ignore
-    (Telemetry.Recorder.record ~label ~fingerprint ~ms ~groups ~gexprs ~cost
+    (Telemetry.Recorder.record ?seq ~label ~fingerprint ~ms ~groups ~gexprs
+       ~cost
        ~phases:(Telemetry.Recorder.top_phases phases)
        ~status ?dump ())
 
@@ -85,19 +88,20 @@ let optimize ?(config = Orca_config.default) ?(label = "query") ?fingerprint
         | Some threshold -> ms >= threshold
         | None -> false
       in
-      let dump =
+      let seq, dump =
         if slow then begin
           Telemetry.Metrics.inc Telemetry.Std.flight_slow;
-          recapture ~config ~make_accessor ~reason:"slow" query
+          let seq = Telemetry.Recorder.claim () in
+          (Some seq, recapture ~config ~make_accessor ~reason:"slow" ~seq query)
         end
-        else None
+        else (None, None)
       in
-      record_entry ~label ~fingerprint ~ms
+      record_entry ?seq ~label ~fingerprint ~ms
         ~groups:report.Optimizer.groups ~gexprs:report.Optimizer.gexprs
         ~cost:report.Optimizer.plan.Ir.Expr.pcost
         ~phases:report.Optimizer.phase_ms
         ~status:(if slow then Telemetry.Recorder.Slow else Telemetry.Recorder.Ok)
-        ~dump;
+        ~dump ();
       report
   | exception Optimizer.Unsupported_query msg ->
       (* a clean reject, not an anomaly: count it, no dump *)
@@ -106,11 +110,12 @@ let optimize ?(config = Orca_config.default) ?(label = "query") ?fingerprint
   | exception e ->
       Telemetry.Metrics.inc Telemetry.Std.failures;
       Telemetry.Metrics.inc Telemetry.Std.flight_failed;
+      let seq = Telemetry.Recorder.claim () in
       let dump =
-        recapture ~config ~make_accessor ~reason:"failed" query
+        recapture ~config ~make_accessor ~reason:"failed" ~seq query
       in
-      record_entry ~label ~fingerprint ~ms:0.0 ~groups:0 ~gexprs:0 ~cost:0.0
-        ~phases:[]
+      record_entry ~seq ~label ~fingerprint ~ms:0.0 ~groups:0 ~gexprs:0
+        ~cost:0.0 ~phases:[]
         ~status:(Telemetry.Recorder.Failed (Printexc.to_string e))
-        ~dump;
+        ~dump ();
       raise e

@@ -69,32 +69,29 @@ let rec tree_to_mexpr (t : Ltree.t) : Memolib.Mexpr.t =
 let run_stage (config : Orca_config.t) ~(factory : Colref.Factory.t)
     ~(base : Table_desc.t -> Stats.Relstats.t) (tree : Ltree.t)
     (req : Props.req) (stage : Xform.Ruleset.stage) =
-  Obs.Span.with_ ~name:("stage:" ^ stage.Xform.Ruleset.stage_name) (fun () ->
-      let memo =
-        Memolib.Memo.create ~interning:config.Orca_config.interning ()
-      in
-      let root_ge =
-        Obs.Span.with_ ~name:"copy-in" (fun () ->
-            Memolib.Memo.insert memo (tree_to_mexpr tree))
-      in
-      Memolib.Memo.set_root memo
-        (Memolib.Memo.find memo root_ge.Memolib.Memo.ge_group);
-      let engine =
-        Search.Engine.create ~workers:config.Orca_config.workers
-          ?fuzz_seed:config.Orca_config.fuzz_seed ~obs:config.Orca_config.obs
-          ~rule_checks:config.Orca_config.rule_checks
-          ~prefilter:config.Orca_config.rule_prefilter
-          ~stats_memo:config.Orca_config.stats_memo
-          ~winner_reuse:config.Orca_config.winner_reuse
-          ~stage_name:stage.Xform.Ruleset.stage_name
-          ~prov:config.Orca_config.prov
-          ?strata:config.Orca_config.strata
-          ~ruleset:stage.Xform.Ruleset.stage_rules
-          ~model:config.Orca_config.model ~factory ~base memo
-      in
-      Search.Engine.set_deadline engine stage.Xform.Ruleset.timeout_ms;
-      let plan = Search.Engine.run engine req in
-      (memo, engine, plan))
+  let memo = Memolib.Memo.create ~interning:config.Orca_config.interning () in
+  let root_ge =
+    Obs.Span.with_ ~name:"copy-in" (fun () ->
+        Memolib.Memo.insert memo (tree_to_mexpr tree))
+  in
+  Memolib.Memo.set_root memo
+    (Memolib.Memo.find memo root_ge.Memolib.Memo.ge_group);
+  let engine =
+    Search.Engine.create ~workers:config.Orca_config.workers
+      ?fuzz_seed:config.Orca_config.fuzz_seed ~obs:config.Orca_config.obs
+      ~rule_checks:config.Orca_config.rule_checks
+      ~prefilter:config.Orca_config.rule_prefilter
+      ~stats_memo:config.Orca_config.stats_memo
+      ~winner_reuse:config.Orca_config.winner_reuse
+      ~stage_name:stage.Xform.Ruleset.stage_name
+      ~prov:config.Orca_config.prov
+      ?strata:config.Orca_config.strata
+      ~ruleset:stage.Xform.Ruleset.stage_rules
+      ~model:config.Orca_config.model ~factory ~base memo
+  in
+  Search.Engine.set_deadline engine stage.Xform.Ruleset.timeout_ms;
+  let plan = Search.Engine.run engine req in
+  (memo, engine, plan)
 
 exception Unsupported_query of string
 
@@ -102,11 +99,12 @@ exception Unsupported_query of string
 let optimize_inner ~(config : Orca_config.t) (accessor : Catalog.Accessor.t)
     (query : Dxl.Dxl_query.t) : report =
   let t0 = Gpos.Clock.now () in
-  (* coarse always-on phase timers (report.phase_ms), reverse order *)
+  (* One timer per coarse phase: always appends to report.phase_ms
+     (reverse order here), and is an Obs span when a session is active. *)
   let phases = ref [] in
-  let timed name f =
+  let phase name f =
     let p0 = Gpos.Clock.now () in
-    let r = f () in
+    let r = Obs.Span.with_ ~name f in
     phases := (name, Gpos.Clock.ms_since p0) :: !phases;
     r
   in
@@ -116,8 +114,7 @@ let optimize_inner ~(config : Orca_config.t) (accessor : Catalog.Accessor.t)
   (* preprocessing: decorrelate subqueries, normalize *)
   let tree = query.Dxl.Dxl_query.tree in
   let tree, decorrelated =
-    timed "preprocess" @@ fun () ->
-    Obs.Span.with_ ~name:"preprocess" (fun () ->
+    phase "preprocess" (fun () ->
         let tree, decorrelated =
           if config.Orca_config.decorrelate then
             Obs.Span.with_ ~name:"decorrelate" (fun () ->
@@ -172,7 +169,7 @@ let optimize_inner ~(config : Orca_config.t) (accessor : Catalog.Accessor.t)
         | None -> Gpos.Gpos_error.internal "no optimization stages configured")
     | stage :: rest -> (
         let memo, engine, plan =
-          timed ("stage:" ^ stage.Xform.Ruleset.stage_name) (fun () ->
+          phase ("stage:" ^ stage.Xform.Ruleset.stage_name) (fun () ->
               run_stage config ~factory ~base tree req stage)
         in
         if config.Orca_config.obs then
@@ -205,9 +202,8 @@ let optimize_inner ~(config : Orca_config.t) (accessor : Catalog.Accessor.t)
   let prov =
     if config.Orca_config.prov then
       Some
-        (timed "prov-annotate" (fun () ->
-             Obs.Span.with_ ~name:"prov-annotate" (fun () ->
-                 Prov.Provenance.annotate memo ~req ~stage:stage_name plan)))
+        (phase "prov-annotate" (fun () ->
+             Prov.Provenance.annotate memo ~req ~stage:stage_name plan))
     else None
   in
   let diagnostics =
@@ -227,7 +223,7 @@ let optimize_inner ~(config : Orca_config.t) (accessor : Catalog.Accessor.t)
   (* One cold-path update of the always-on registry (lib/telemetry),
      tapping counters the winning stage's engine/Memo/scheduler maintain
      unconditionally. *)
-  if config.Orca_config.telemetry then begin
+  begin
     let mp = Memolib.Memo.profile memo in
     let cost = Search.Engine.cost_profile engine in
     let max_q =

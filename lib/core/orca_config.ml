@@ -29,10 +29,6 @@ type t = {
   stats_memo : bool;         (* memoize group rows/width and motion skew *)
   rule_prefilter : bool;     (* skip rules by root-shape bitmap *)
   winner_reuse : bool;       (* reuse winners/base costs across contexts *)
-  telemetry : bool;
-      (* record the always-on metrics (lib/telemetry) after each query:
-         one cold-path registry update tapping counters the engine keeps
-         anyway, so the default is on. Off only for A/B identity tests. *)
   trace_id : string option;
       (* the originating service request ("s<sid>-r<rid>", lib/sre), when
          this optimization runs inside Orca_server: stamped as an
@@ -63,7 +59,6 @@ let default =
     stats_memo = true;
     rule_prefilter = true;
     winner_reuse = true;
-    telemetry = true;
     trace_id = None;
   }
 
@@ -106,8 +101,6 @@ let with_fuzz_seed t seed = { t with fuzz_seed = Some seed }
 let without_decorrelation t = { t with decorrelate = false }
 
 let without_column_pruning t = { t with prune_columns = false }
-
-let with_telemetry t on = { t with telemetry = on }
 
 let with_trace_id t id = { t with trace_id = Some id }
 let without_trace_id t = { t with trace_id = None }

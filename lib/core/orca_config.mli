@@ -50,11 +50,6 @@ type t = {
   winner_reuse : bool;
       (** skip child Opt spawns on completed contexts and reuse operator
           base costs across contexts differing only in required properties *)
-  telemetry : bool;
-      (** record the always-on metrics (lib/telemetry) after each query —
-          one cold-path registry update per optimization, tapping counters
-          the engine maintains unconditionally. On by default; the switch
-          exists for A/B identity tests, not for production. *)
   trace_id : string option;
       (** the originating service request's trace id (lib/sre,
           ["s<sid>-r<rid>"]) when the optimization runs inside
@@ -113,22 +108,18 @@ val without_decorrelation : t -> t
 
 val without_column_pruning : t -> t
 
+val with_trace_id : t -> string -> t
+(** Attribute this optimization to a service request (plan-identical
+    either way; `orca_cli diff --off-b sre` A/Bs it). *)
+
+val without_trace_id : t -> t
+
 (** {2 Hot-path speedups}
 
     All four are identity-preserving — the chosen plan and its cost are
     byte-identical with them on or off (test/test_perf_identity.ml) — and on
     by default. The switches exist for A/B identity testing and the
     opt-speed benchmark's caches-off baseline. *)
-
-val with_telemetry : t -> bool -> t
-(** Toggle the per-query lib/telemetry recording (plan-identical either
-    way; the identity test A/Bs it). *)
-
-val with_trace_id : t -> string -> t
-(** Attribute this optimization to a service request (plan-identical
-    either way; `orca_cli diff --off-b sre` A/Bs it). *)
-
-val without_trace_id : t -> t
 
 val with_interning : t -> bool -> t
 val with_stats_memo : t -> bool -> t

@@ -11,6 +11,7 @@
    condensation's topological order is the stratification
    [Orca_config.with_strata] schedules by. *)
 
+module Json = Gpos.Json
 module Model = Rulecheck.Model
 module Infer = Infer
 module Graph = Graph
@@ -382,45 +383,33 @@ let to_string (r : report) : string =
   end;
   Buffer.contents buf
 
-let json_escape = Rulecheck.json_escape
-
 let to_json (r : report) : string =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\n  \"rules\": %d,\n  \"edges\": %d,\n  \"sccs\": %d,\n  \
-        \"root_mask\": \"%s\",\n  \"c_nonjoin\": %d,\n  \"p_max\": %d,\n  \
-        \"fixpoint_gexprs\": %d,\n  \"errors\": %d,\n  \"warnings\": %d,\n  \
-        \"strata\": ["
-       (List.length r.rules) r.nedges (List.length r.sccs)
-       (json_escape (Logical_ops.mask_to_string r.root_mask))
-       r.c_nonjoin r.p_max r.fixpoint_gexprs (error_count r)
-       (warning_count r));
-  List.iteri
-    (fun i rr ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\n    {\"rule\": \"%s\", \"stratum\": %d, \"scc\": %d, \
-            \"reachable\": %b, \"matches\": \"%s\", \"produces\": \"%s\"}"
-           (json_escape rr.rr_rule.Rule.name)
-           rr.rr_stratum rr.rr_scc rr.rr_reachable
-           (json_escape (Logical_ops.mask_to_string rr.rr_rule.Rule.mask))
-           (json_escape (Logical_ops.mask_to_string rr.rr_observed))))
-    r.rules;
-  Buffer.add_string buf "\n  ],\n  \"diagnostics\": [";
-  List.iteri
-    (fun i (d : Diagnostic.t) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\n    {\"rule\": \"%s\", \"severity\": \"%s\", \"path\": \"%s\", \
-            \"node\": \"%s\", \"message\": \"%s\"}"
-           (json_escape d.Diagnostic.rule)
-           (Diagnostic.severity_to_string d.Diagnostic.severity)
-           (json_escape d.Diagnostic.path)
-           (json_escape d.Diagnostic.node)
-           (json_escape d.Diagnostic.message)))
-    r.diags;
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf
+  let mask m = Json.Str (Logical_ops.mask_to_string m) in
+  Json.pretty
+    (Obj
+       [
+         ("rules", Json.int (List.length r.rules));
+         ("edges", Json.int r.nedges);
+         ("sccs", Json.int (List.length r.sccs));
+         ("root_mask", mask r.root_mask);
+         ("c_nonjoin", Json.int r.c_nonjoin);
+         ("p_max", Json.int r.p_max);
+         ("fixpoint_gexprs", Json.int r.fixpoint_gexprs);
+         ("errors", Json.int (error_count r));
+         ("warnings", Json.int (warning_count r));
+         ( "strata",
+           Arr
+             (List.map
+                (fun rr ->
+                  Json.Obj
+                    [
+                      ("rule", Str rr.rr_rule.Rule.name);
+                      ("stratum", Json.int rr.rr_stratum);
+                      ("scc", Json.int rr.rr_scc);
+                      ("reachable", Bool rr.rr_reachable);
+                      ("matches", mask rr.rr_rule.Rule.mask);
+                      ("produces", mask rr.rr_observed);
+                    ])
+                r.rules) );
+         ("diagnostics", Arr (List.map Rulecheck.diag_json r.diags));
+       ])

@@ -3,7 +3,8 @@
    [to_chrome_json] emits the Chrome trace_event format (an object with a
    "traceEvents" array of "ph":"X" complete events), loadable in Perfetto or
    chrome://tracing. Timestamps and durations are microseconds, as the
-   format requires. Written by hand — the subsystem stays zero-dependency.
+   format requires. Written through Gpos.Json, so the subsystem stays
+   zero-dependency.
 
    [flame_summary] aggregates spans by path into a plain-text flame view:
    call count, total and self time, indented by depth.
@@ -14,37 +15,26 @@
    disjoint spans measured by one clock can only undershoot their parent, so
    an overshoot means spans were misattributed or the clock misbehaved. *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Gpos.Json
 
 (* %.1f keeps timestamps stable across platforms (no %g exponent noise). *)
-let json_us v = Printf.sprintf "%.1f" v
-
 let event_to_json (e : Span.event) =
-  let args =
-    ("path", e.Span.sp_path) :: e.Span.sp_attrs
-    |> List.map (fun (k, v) ->
-           Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-    |> String.concat ","
-  in
-  Printf.sprintf
-    "{\"name\":\"%s\",\"cat\":\"orca\",\"ph\":\"X\",\"ts\":%s,\"dur\":%s,\"pid\":1,\"tid\":%d,\"args\":{%s}}"
-    (json_escape e.Span.sp_name)
-    (json_us e.Span.sp_start_us) (json_us e.Span.sp_dur_us) e.Span.sp_domain
-    args
+  Json.to_string
+    (Obj
+       [
+         ("name", Str e.Span.sp_name);
+         ("cat", Str "orca");
+         ("ph", Str "X");
+         ("ts", Num (Json.fixed 1 e.Span.sp_start_us));
+         ("dur", Num (Json.fixed 1 e.Span.sp_dur_us));
+         ("pid", Json.int 1);
+         ("tid", Json.int e.Span.sp_domain);
+         ( "args",
+           Obj
+             (List.map
+                (fun (k, v) -> (k, Json.Str v))
+                (("path", e.Span.sp_path) :: e.Span.sp_attrs)) );
+       ])
 
 let to_chrome_json (events : Span.event list) : string =
   let body =

@@ -8,6 +8,8 @@
    property reachability; cost-model sweeps lint non-negativity and
    monotonicity. Diagnostics use lib/verify's lint format. *)
 
+module Json = Gpos.Json
+
 module Model = Model
 module Denote = Denote
 module Passes = Passes
@@ -87,42 +89,26 @@ let warning_count (r : report) = Diagnostic.count Diagnostic.Warning r.diags
 
 (* --- JSON (the nightly CI artifact shape) --- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let diag_json (d : Diagnostic.t) : Json.t =
+  Obj
+    [
+      ("rule", Str d.Diagnostic.rule);
+      ("severity", Str (Diagnostic.severity_to_string d.Diagnostic.severity));
+      ("path", Str d.Diagnostic.path);
+      ("node", Str d.Diagnostic.node);
+      ("message", Str d.Diagnostic.message);
+    ]
 
 let to_json (r : report) : string =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\n  \"rules_checked\": %d,\n  \"seeds\": %d,\n  \"cases\": %d,\n  \
-        \"applications\": %d,\n  \"alternatives\": %d,\n  \"errors\": %d,\n  \
-        \"warnings\": %d,\n  \"diagnostics\": ["
-       r.rules_checked r.seeds r.cases r.applications r.alternatives
-       (error_count r) (warning_count r));
-  List.iteri
-    (fun i (d : Diagnostic.t) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\n    {\"rule\": \"%s\", \"severity\": \"%s\", \"path\": \"%s\", \
-            \"node\": \"%s\", \"message\": \"%s\"}"
-           (json_escape d.Diagnostic.rule)
-           (Diagnostic.severity_to_string d.Diagnostic.severity)
-           (json_escape d.Diagnostic.path)
-           (json_escape d.Diagnostic.node)
-           (json_escape d.Diagnostic.message)))
-    r.diags;
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf
+  Json.pretty
+    (Obj
+       [
+         ("rules_checked", Json.int r.rules_checked);
+         ("seeds", Json.int r.seeds);
+         ("cases", Json.int r.cases);
+         ("applications", Json.int r.applications);
+         ("alternatives", Json.int r.alternatives);
+         ("errors", Json.int (error_count r));
+         ("warnings", Json.int (warning_count r));
+         ("diagnostics", Arr (List.map diag_json r.diags));
+       ])

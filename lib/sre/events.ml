@@ -1,11 +1,12 @@
 (* Bounded ring of structured service events, JSON-lines rendered.
 
-   The ring is lock-free: writers claim a slot with one fetch-and-add and
-   store an immutable entry record into it. A reader walking the ring
-   concurrently with a wrap-around may miss a slot being replaced, but
-   each slot holds either a whole entry or the one it replaced — never a
-   torn mix. The optional sink is the only locked path (channel writes
-   interleave otherwise) and is meant for files/stderr, not hot loops. *)
+   The ring is Gpos.Ring: writers claim a sequence number with one
+   fetch-and-add and store an immutable entry record into its slot, so a
+   concurrent reader sees whole entries only. The optional sink is the
+   only locked path (channel writes interleave otherwise) and is meant for
+   files/stderr, not hot loops. *)
+
+module Json = Gpos.Json
 
 type level = Debug | Info | Warn | Error
 
@@ -31,8 +32,7 @@ type entry = {
 type t = {
   enabled : bool;
   min_level : int;
-  ring : entry option array;
-  seq : int Atomic.t; (* next sequence number, 1-based *)
+  ring : entry Gpos.Ring.t;
   sink : out_channel option ref;
   sink_lock : Mutex.t;
 }
@@ -41,60 +41,41 @@ let create ?(capacity = 1024) ?(level = Debug) ?(enabled = true) () =
   {
     enabled;
     min_level = level_rank level;
-    ring = Array.make (max 1 capacity) None;
-    seq = Atomic.make 1;
+    ring = Gpos.Ring.create capacity;
     sink = ref None;
     sink_lock = Mutex.create ();
   }
 
 let on t level = t.enabled && level_rank level >= t.min_level
 
-let capacity t = Array.length t.ring
+let capacity t = Gpos.Ring.capacity t.ring
 
-let total t = Atomic.get t.seq - 1
+let total t = Gpos.Ring.total t.ring
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let field_to_json = function
-  | S s -> Printf.sprintf "\"%s\"" (json_escape s)
-  | I i -> string_of_int i
-  | F f -> Printf.sprintf "%.6g" f
-  | B b -> if b then "true" else "false"
+let field_to_json : field -> Json.t = function
+  | S s -> Str s
+  | I i -> Json.int i
+  | F f -> Num (Json.general 6 f)
+  | B b -> Bool b
 
 let entry_to_json e =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"seq\":%d,\"ts\":%.6f,\"level\":\"%s\",\"event\":\"%s\""
-       e.ev_seq e.ev_ts (level_string e.ev_level) (json_escape e.ev_kind));
-  (match e.ev_trace with
-  | Some tr ->
-      Buffer.add_string buf (Printf.sprintf ",\"trace\":\"%s\"" (json_escape tr))
-  | None -> ());
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string buf
-        (Printf.sprintf ",\"%s\":%s" (json_escape k) (field_to_json v)))
-    e.ev_fields;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  let trace =
+    match e.ev_trace with Some tr -> [ ("trace", Json.Str tr) ] | None -> []
+  in
+  Json.to_string
+    (Obj
+       ([
+          ("seq", Json.int e.ev_seq);
+          ("ts", Num (Json.fixed 6 e.ev_ts));
+          ("level", Str (level_string e.ev_level));
+          ("event", Str e.ev_kind);
+        ]
+       @ trace
+       @ List.map (fun (k, v) -> (k, field_to_json v)) e.ev_fields))
 
 let emit t ?(level = Info) ?trace ~kind fields =
   if t.enabled && level_rank level >= t.min_level then begin
-    let seq = Atomic.fetch_and_add t.seq 1 in
+    let seq = Gpos.Ring.claim t.ring in
     let e =
       {
         ev_seq = seq;
@@ -105,7 +86,7 @@ let emit t ?(level = Info) ?trace ~kind fields =
         ev_fields = fields;
       }
     in
-    t.ring.((seq - 1) mod Array.length t.ring) <- Some e;
+    Gpos.Ring.store t.ring seq e;
     Telemetry.Metrics.inc Telemetry.Std.sre_events;
     match !(t.sink) with
     | None -> ()
@@ -119,13 +100,7 @@ let emit t ?(level = Info) ?trace ~kind fields =
         Mutex.unlock t.sink_lock
   end
 
-let entries t =
-  let collected =
-    Array.fold_left
-      (fun acc slot -> match slot with None -> acc | Some e -> e :: acc)
-      [] t.ring
-  in
-  List.sort (fun a b -> compare a.ev_seq b.ev_seq) collected
+let entries t = Gpos.Ring.to_list t.ring
 
 let set_sink t oc =
   Mutex.lock t.sink_lock;

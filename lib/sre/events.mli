@@ -1,5 +1,5 @@
 (** Structured event log for the resident service: a leveled JSON-lines
-    event stream held in a lock-free bounded ring, with an optional sink
+    event stream held in a lock-free bounded {!Gpos.Ring}, with an optional sink
     channel (file or stderr — never the protocol stream, which must stay
     single-line JSON).
 
@@ -10,7 +10,7 @@
     Cost model: with the log disabled, [emit] is one load and a return —
     call sites guard field construction behind {!on} so a disabled log
     allocates nothing. Enabled, an emission is one atomic
-    fetch-and-add plus one array store (the sink, when set, adds a
+    fetch-and-add plus one slot compare-and-set (the sink, when set, adds a
     mutex-guarded channel write). Timestamps come from [Gpos.Clock], so
     the stream is deterministic under [Clock.with_fake]. *)
 

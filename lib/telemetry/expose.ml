@@ -1,7 +1,9 @@
 (* Exposition of metric snapshots: Prometheus text format and JSON, plus
-   a Prometheus linter (used by CI), a JSON snapshot parser and the
+   a Prometheus linter (used by CI), the JSON snapshot reader and the
    [diff] regression sentinel comparing two snapshots with per-metric
-   tolerances. *)
+   tolerances. JSON goes through Gpos.Json both ways. *)
+
+module Json = Gpos.Json
 
 (* -- number / string formatting ------------------------------------ *)
 
@@ -9,25 +11,8 @@
    snapshot diffed against itself is always clean. NaN/inf never appear
    in valid metric values; map them to 0 to keep the output parseable. *)
 let fnum v =
-  if Float.is_nan v || Float.abs v = Float.infinity then "0"
-  else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.9g" v
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+  else Json.general 9 v
 
 let prom_label_escape s =
   let buf = Buffer.create (String.length s + 8) in
@@ -110,80 +95,80 @@ let to_prometheus (snap : Metrics.snapshot) =
 
 (* -- JSON ----------------------------------------------------------- *)
 
-let labels_json labels =
-  "{"
-  ^ String.concat ","
-      (List.map
-         (fun (k, v) ->
-           Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-         labels)
-  ^ "}"
+let num v = Json.Num (fnum v)
 
-let sample_json (s : Metrics.sample) =
-  let base =
-    Printf.sprintf "\"name\":\"%s\",\"labels\":%s" (json_escape s.s_name)
-      (labels_json s.s_labels)
+let sample_json (s : Metrics.sample) : Json.t =
+  let value =
+    match s.s_value with
+    | Metrics.S_counter v -> [ ("type", Json.Str "counter"); ("value", Json.int v) ]
+    | Metrics.S_gauge v -> [ ("type", Str "gauge"); ("value", num v) ]
+    | Metrics.S_histogram hs ->
+        let bucket i n =
+          if n > 0 then Some (Json.Arr [ num (Metrics.bucket_upper i); Json.int n ])
+          else None
+        in
+        [
+          ("type", Str "histogram");
+          ("count", Json.int hs.Metrics.hs_count);
+          ("sum", num hs.Metrics.hs_sum);
+          ("p50", num (Metrics.quantile hs 0.50));
+          ("p95", num (Metrics.quantile hs 0.95));
+          ("p99", num (Metrics.quantile hs 0.99));
+          ( "buckets",
+            Arr
+              (List.filter_map Fun.id
+                 (List.mapi bucket (Array.to_list hs.Metrics.hs_buckets))) );
+        ]
   in
-  match s.s_value with
-  | Metrics.S_counter v ->
-      Printf.sprintf "{%s,\"type\":\"counter\",\"value\":%d}" base v
-  | Metrics.S_gauge v ->
-      Printf.sprintf "{%s,\"type\":\"gauge\",\"value\":%s}" base (fnum v)
-  | Metrics.S_histogram hs ->
-      let buckets = ref [] in
-      Array.iteri
-        (fun i n ->
-          if n > 0 then
-            buckets :=
-              Printf.sprintf "[%s,%d]" (fnum (Metrics.bucket_upper i)) n
-              :: !buckets)
-        hs.Metrics.hs_buckets;
-      Printf.sprintf
-        "{%s,\"type\":\"histogram\",\"count\":%d,\"sum\":%s,\"p50\":%s,\"p95\":%s,\"p99\":%s,\"buckets\":[%s]}"
-        base hs.Metrics.hs_count (fnum hs.Metrics.hs_sum)
-        (fnum (Metrics.quantile hs 0.50))
-        (fnum (Metrics.quantile hs 0.95))
-        (fnum (Metrics.quantile hs 0.99))
-        (String.concat "," (List.rev !buckets))
+  Obj
+    (("name", Str s.s_name)
+    :: ("labels", Obj (List.map (fun (k, v) -> (k, Json.Str v)) s.s_labels))
+    :: value)
 
-let flight_json (e : Recorder.entry) =
-  let phases =
-    String.concat ","
-      (List.map
-         (fun (n, ms) -> Printf.sprintf "[\"%s\",%s]" (json_escape n) (fnum ms))
-         e.Recorder.e_phases)
-  in
+let flight_json (e : Recorder.entry) : Json.t =
   let error =
     match e.Recorder.e_status with
-    | Recorder.Failed msg -> Printf.sprintf ",\"error\":\"%s\"" (json_escape msg)
-    | _ -> ""
+    | Recorder.Failed msg -> [ ("error", Json.Str msg) ]
+    | _ -> []
   in
-  let dump =
-    match e.Recorder.e_dump with
-    | Some p -> Printf.sprintf "\"%s\"" (json_escape p)
-    | None -> "null"
-  in
-  Printf.sprintf
-    "{\"seq\":%d,\"ts\":%s,\"label\":\"%s\",\"fingerprint\":\"%s\",\"ms\":%s,\"groups\":%d,\"gexprs\":%d,\"cost\":%s,\"status\":\"%s\"%s,\"phases\":[%s],\"dump\":%s}"
-    e.Recorder.e_seq (fnum e.Recorder.e_ts)
-    (json_escape e.Recorder.e_label)
-    (json_escape e.Recorder.e_fingerprint)
-    (fnum e.Recorder.e_ms) e.Recorder.e_groups e.Recorder.e_gexprs
-    (fnum e.Recorder.e_cost)
-    (Recorder.status_string e.Recorder.e_status)
-    error phases dump
+  Obj
+    ([
+       ("seq", Json.int e.Recorder.e_seq);
+       ("ts", num e.Recorder.e_ts);
+       ("label", Str e.Recorder.e_label);
+       ("fingerprint", Str e.Recorder.e_fingerprint);
+       ("ms", num e.Recorder.e_ms);
+       ("groups", Json.int e.Recorder.e_groups);
+       ("gexprs", Json.int e.Recorder.e_gexprs);
+       ("cost", num e.Recorder.e_cost);
+       ("status", Str (Recorder.status_string e.Recorder.e_status));
+     ]
+    @ error
+    @ [
+        ( "phases",
+          Arr
+            (List.map
+               (fun (n, ms) -> Json.Arr [ Str n; num ms ])
+               e.Recorder.e_phases) );
+        ( "dump",
+          match e.Recorder.e_dump with Some p -> Str p | None -> Null );
+      ])
 
+(* One sample or flight entry per line, so snapshots diff line by line. *)
 let to_json ?(flight = []) (snap : Metrics.snapshot) =
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"telemetry\":\"orca\",\"ts\":%s,\n \"metrics\":[\n"
-       (fnum snap.Metrics.snap_ts));
-  Buffer.add_string buf
-    (String.concat ",\n"
-       (List.map (fun s -> "  " ^ sample_json s) snap.Metrics.samples));
+  let lines items =
+    List.iteri
+      (fun i v ->
+        Buffer.add_string buf (if i = 0 then "  " else ",\n  ");
+        Json.add buf v)
+      items
+  in
+  Printf.bprintf buf "{\"telemetry\":\"orca\",\"ts\":%s,\n \"metrics\":[\n"
+    (fnum snap.Metrics.snap_ts);
+  lines (List.map sample_json snap.Metrics.samples);
   Buffer.add_string buf "\n ],\n \"flight\":[\n";
-  Buffer.add_string buf
-    (String.concat ",\n" (List.map (fun e -> "  " ^ flight_json e) flight));
+  lines (List.map flight_json flight);
   Buffer.add_string buf "\n ]}\n";
   Buffer.contents buf
 
@@ -459,157 +444,6 @@ let lint_prometheus text =
 
 (* -- JSON snapshot parsing ------------------------------------------ *)
 
-(* Minimal JSON reader, just enough for our own [to_json] output (and
-   hand-edited baselines). *)
-
-type jv =
-  | J_null
-  | J_bool of bool
-  | J_num of float
-  | J_str of string
-  | J_arr of jv list
-  | J_obj of (string * jv) list
-
-exception Parse_error of string
-
-let parse_json (s : string) : jv =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    if !pos < n && s.[!pos] = c then advance ()
-    else fail (Printf.sprintf "expected %c" c)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else
-        match s.[!pos] with
-        | '"' -> advance ()
-        | '\\' ->
-            advance ();
-            (if !pos >= n then fail "bad escape"
-             else
-               match s.[!pos] with
-               | 'n' -> Buffer.add_char buf '\n'
-               | 't' -> Buffer.add_char buf '\t'
-               | 'r' -> Buffer.add_char buf '\r'
-               | 'u' ->
-                   if !pos + 4 >= n then fail "bad \\u escape"
-                   else begin
-                     let code =
-                       int_of_string ("0x" ^ String.sub s (!pos + 1) 4)
-                     in
-                     pos := !pos + 4;
-                     if code < 128 then Buffer.add_char buf (Char.chr code)
-                     else Buffer.add_char buf '?'
-                   end
-               | c -> Buffer.add_char buf c);
-            advance ();
-            go ()
-        | c ->
-            Buffer.add_char buf c;
-            advance ();
-            go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end"
-    | Some '"' -> J_str (parse_string ())
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          J_obj []
-        end
-        else begin
-          let fields = ref [] in
-          let rec go () =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            fields := (k, v) :: !fields;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                go ()
-            | Some '}' -> advance ()
-            | _ -> fail "expected ',' or '}'"
-          in
-          go ();
-          J_obj (List.rev !fields)
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          J_arr []
-        end
-        else begin
-          let items = ref [] in
-          let rec go () =
-            let v = parse_value () in
-            items := v :: !items;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                go ()
-            | Some ']' -> advance ()
-            | _ -> fail "expected ',' or ']'"
-          in
-          go ();
-          J_arr (List.rev !items)
-        end
-    | Some 't' ->
-        pos := !pos + 4;
-        J_bool true
-    | Some 'f' ->
-        pos := !pos + 5;
-        J_bool false
-    | Some 'n' ->
-        pos := !pos + 4;
-        J_null
-    | Some _ ->
-        let start = !pos in
-        while
-          !pos < n
-          && match s.[!pos] with
-             | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-             | _ -> false
-        do
-          advance ()
-        done;
-        if !pos = start then fail "unexpected character"
-        else
-          J_num
-            (Option.value ~default:Float.nan
-               (float_of_string_opt (String.sub s start (!pos - start))))
-  in
-  let v = parse_value () in
-  skip_ws ();
-  v
-
 (* A parsed snapshot flattened for diffing: one record per series, with
    the numeric fields that can be compared. *)
 
@@ -621,13 +455,10 @@ type flat = {
 
 type parsed = { p_ts : float; p_metrics : flat list }
 
-let obj_field o k = match o with J_obj fs -> List.assoc_opt k fs | _ -> None
-
-let num_field o k =
-  match obj_field o k with Some (J_num v) -> Some v | _ -> None
+let num_field o k = Option.bind (Json.member k o) Json.to_float
 
 let str_field o k =
-  match obj_field o k with Some (J_str v) -> Some v | _ -> None
+  match Json.member k o with Some (Json.Str v) -> Some v | _ -> None
 
 let flat_key name labels =
   match labels with
@@ -640,11 +471,11 @@ let flat_key name labels =
       ^ "}"
 
 let parse_snapshot text : (parsed, string) result =
-  match parse_json text with
-  | exception Parse_error msg -> Error msg
-  | j -> (
-      match obj_field j "metrics" with
-      | Some (J_arr ms) ->
+  match Json.of_string text with
+  | Error msg -> Error msg
+  | Ok j -> (
+      match Json.member "metrics" j with
+      | Some (Arr ms) ->
           let ts = Option.value ~default:0.0 (num_field j "ts") in
           let flats =
             List.filter_map
@@ -652,12 +483,12 @@ let parse_snapshot text : (parsed, string) result =
                 match (str_field m "name", str_field m "type") with
                 | Some name, Some kind ->
                     let labels =
-                      match obj_field m "labels" with
-                      | Some (J_obj fs) ->
+                      match Json.member "labels" m with
+                      | Some (Obj fs) ->
                           List.filter_map
                             (fun (k, v) ->
                               match v with
-                              | J_str s -> Some (k, s)
+                              | Json.Str s -> Some (k, s)
                               | _ -> None)
                             fs
                       | _ -> []

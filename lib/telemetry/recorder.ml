@@ -1,7 +1,7 @@
-(* Flight recorder: a fixed-size ring buffer of per-query summaries, the
-   "black box" for the optimizer-as-a-service north star. Recording one
-   entry per optimized query is cold-path (a handful of allocations under
-   a mutex); the ring keeps the last [capacity] entries and the total
+(* Flight recorder: a fixed-size ring buffer (Gpos.Ring) of per-query
+   summaries, the "black box" for the optimizer-as-a-service north star.
+   Recording one entry per optimized query is one fetch-and-add and one
+   slot store; the ring keeps the last [capacity] entries and the total
    count ever recorded.
 
    The slow-query trigger itself lives in lib/core (Flight) because it
@@ -30,65 +30,44 @@ type entry = {
   e_dump : string option;          (* path of the AMPERe dump, if emitted *)
 }
 
-type t = {
-  buf : entry option array;
-  mutable total : int;
-  lock : Mutex.t;
-}
+type t = entry Gpos.Ring.t
 
-let create ?(capacity = 128) () =
-  let capacity = max 1 capacity in
-  { buf = Array.make capacity None; total = 0; lock = Mutex.create () }
+let create ?(capacity = 128) () = Gpos.Ring.create capacity
 
 let global = create ()
 
-let with_lock t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+let capacity = Gpos.Ring.capacity
 
-let capacity t = Array.length t.buf
+let total ?(recorder = global) () = Gpos.Ring.total recorder
 
-let total ?(recorder = global) () = with_lock recorder (fun () -> recorder.total)
+let claim ?(recorder = global) () = Gpos.Ring.claim recorder
 
-let record ?(recorder = global) ~label ~fingerprint ~ms ~groups ~gexprs ~cost
-    ~phases ~status ?dump () =
+let record ?(recorder = global) ?seq ~label ~fingerprint ~ms ~groups ~gexprs
+    ~cost ~phases ~status ?dump () =
   let ts = Gpos.Clock.now () in
-  with_lock recorder (fun () ->
-      let seq = recorder.total + 1 in
-      let e =
-        {
-          e_seq = seq;
-          e_ts = ts;
-          e_label = label;
-          e_fingerprint = fingerprint;
-          e_ms = ms;
-          e_groups = groups;
-          e_gexprs = gexprs;
-          e_cost = cost;
-          e_phases = phases;
-          e_status = status;
-          e_dump = dump;
-        }
-      in
-      recorder.buf.(recorder.total mod capacity recorder) <- Some e;
-      recorder.total <- seq;
-      e)
+  let seq = match seq with Some s -> s | None -> Gpos.Ring.claim recorder in
+  let e =
+    {
+      e_seq = seq;
+      e_ts = ts;
+      e_label = label;
+      e_fingerprint = fingerprint;
+      e_ms = ms;
+      e_groups = groups;
+      e_gexprs = gexprs;
+      e_cost = cost;
+      e_phases = phases;
+      e_status = status;
+      e_dump = dump;
+    }
+  in
+  Gpos.Ring.store recorder seq e;
+  e
 
 (* Oldest first. *)
-let entries ?(recorder = global) () =
-  with_lock recorder (fun () ->
-      let cap = capacity recorder in
-      let n = min recorder.total cap in
-      let first = recorder.total - n in
-      List.init n (fun i ->
-          match recorder.buf.((first + i) mod cap) with
-          | Some e -> e
-          | None -> assert false))
+let entries ?(recorder = global) () = Gpos.Ring.to_list recorder
 
-let clear ?(recorder = global) () =
-  with_lock recorder (fun () ->
-      Array.fill recorder.buf 0 (Array.length recorder.buf) None;
-      recorder.total <- 0)
+let clear ?(recorder = global) () = Gpos.Ring.clear recorder
 
 (* Keep the [n] largest phase timings, largest first — the ring stores
    top-3 so an entry stays small no matter how many stages ran. *)

@@ -1,4 +1,4 @@
-(* Flight recorder: fixed-size ring buffer of per-query summaries plus
+(* Flight recorder: a fixed-size {!Gpos.Ring} of per-query summaries plus
    the slow-query trigger configuration (threshold + AMPERe dump dir).
    The trigger logic itself lives in lib/core (Flight). *)
 
@@ -33,8 +33,14 @@ val capacity : t -> int
 val total : ?recorder:t -> unit -> int
 (** Entries ever recorded (>= length of [entries]). *)
 
+val claim : ?recorder:t -> unit -> int
+(** Reserve the next entry number before the entry exists, for a caller
+    that must name an artifact after it (the flight dump); pass it to
+    {!record} as [seq]. *)
+
 val record :
   ?recorder:t ->
+  ?seq:int ->
   label:string ->
   fingerprint:string ->
   ms:float ->
@@ -46,6 +52,8 @@ val record :
   ?dump:string ->
   unit ->
   entry
+(** Record one entry under [seq] (from {!claim}) or a freshly claimed
+    number. *)
 
 val entries : ?recorder:t -> unit -> entry list
 (** Retained entries, oldest first. *)

@@ -1,5 +1,6 @@
-(* Tests for the GPOS substrate: PRNG determinism and the job scheduler
-   (dependencies, re-entrancy, goal queues, parallel execution, failures). *)
+(* Tests for the GPOS substrate: PRNG determinism, the job scheduler
+   (dependencies, re-entrancy, goal queues, parallel execution, failures),
+   the JSON codec and the bounded ring. *)
 
 let test_prng_deterministic () =
   let a = Gpos.Prng.create 42 and b = Gpos.Prng.create 42 in
@@ -311,6 +312,74 @@ let test_clock () =
   let _, ms = Gpos.Clock.time (fun () -> Sys.opaque_identity (List.init 100 Fun.id)) in
   Alcotest.(check bool) "non-negative" true (ms >= 0.0)
 
+(* --- JSON codec --- *)
+
+module J = Gpos.Json
+
+let json_t =
+  Alcotest.testable (fun fmt v -> Format.pp_print_string fmt (J.to_string v)) ( = )
+
+let tricky =
+  J.Obj
+    [
+      ("quote\"key", J.Str "say \"hi\"");
+      ("backslash", J.Str "C:\\dir\\");
+      ("controls", J.Str "\000\001\031\b\012 end");
+      ("whitespace", J.Str "cr\r lf\n tab\t");
+      ("non-ascii", J.Str "caf\xc3\xa9 \xff\xfe raw");
+      ("nums", J.Arr [ J.Num "0"; J.Num "-12.5e+3"; J.Num "1E-7"; J.int 42 ]);
+      ("nested", J.Arr [ J.Obj []; J.Arr []; J.Null; J.Bool true; J.Bool false ]);
+    ]
+
+let test_json_round_trip () =
+  Alcotest.(check (result json_t string))
+    "compact" (Ok tricky) (J.of_string (J.to_string tricky));
+  Alcotest.(check (result json_t string))
+    "pretty" (Ok tricky) (J.of_string (J.pretty tricky))
+
+let prop_json_string_round_trip =
+  QCheck.Test.make ~count:500 ~name:"json string round trip (random bytes)"
+    QCheck.string (fun s -> J.of_string (J.to_string (J.Str s)) = Ok (J.Str s))
+
+let test_json_rejects () =
+  List.iter
+    (fun bad ->
+      match J.of_string bad with
+      | Ok v -> Alcotest.failf "accepted %S as %s" bad (J.to_string v)
+      | Error _ -> ())
+    [
+      ""; "  "; "txyz"; "tru"; "nul"; "fals"; "truex"; "[1,2"; "{\"a\":1";
+      "\"abc"; "\"abc\\"; "1 2"; "{} x"; "[1]]"; "[1,]"; "{\"a\" 1}";
+      "{a:1}"; "01"; "1."; ".5"; "-"; "1e"; "+1"; "NaN"; "Infinity";
+      "\"\\x\""; "\"\\u12\""; "\"\\u12g4\""; "\"a\nb\""; "\"\\ud800\"";
+      "\"\\udc00\"";
+    ]
+
+let test_json_unicode_escapes () =
+  let str s = Ok (J.Str s) in
+  Alcotest.(check (result json_t string))
+    "\\u00e9 is UTF-8 e-acute" (str "\xc3\xa9") (J.of_string {|"\u00e9"|});
+  Alcotest.(check (result json_t string))
+    "ASCII escape" (str "A/") (J.of_string {|"\u0041\/"|});
+  Alcotest.(check (result json_t string))
+    "surrogate pair" (str "\xf0\x9f\x98\x80") (J.of_string {|"\ud83d\ude00"|})
+
+(* --- bounded ring --- *)
+
+(* A writer that claimed early and stores late must not evict the newer
+   entry now occupying its slot. *)
+let test_ring_late_store () =
+  let r = Gpos.Ring.create 2 in
+  let early = Gpos.Ring.claim r in
+  List.iter
+    (fun v ->
+      let seq = Gpos.Ring.claim r in
+      Gpos.Ring.store r seq v)
+    [ "b"; "c" ];
+  Gpos.Ring.store r early "a";
+  Alcotest.(check (list string)) "newest kept" [ "b"; "c" ] (Gpos.Ring.to_list r);
+  Alcotest.(check int) "total" 3 (Gpos.Ring.total r)
+
 let suite =
   [
     Alcotest.test_case "prng deterministic" `Quick test_prng_deterministic;
@@ -330,4 +399,9 @@ let suite =
     Alcotest.test_case "fuzz deterministic" `Quick test_fuzz_deterministic;
     Alcotest.test_case "run_root" `Quick test_run_root;
     Alcotest.test_case "clock" `Quick test_clock;
+    Alcotest.test_case "json print/parse round trip" `Quick test_json_round_trip;
+    QCheck_alcotest.to_alcotest prop_json_string_round_trip;
+    Alcotest.test_case "json parser is strict" `Quick test_json_rejects;
+    Alcotest.test_case "json unicode escapes decode" `Quick test_json_unicode_escapes;
+    Alcotest.test_case "ring late store keeps newer" `Quick test_ring_late_store;
   ]

@@ -732,6 +732,45 @@ let test_flight_recorder_wiring () =
       Alcotest.(check bool) "dump traceflags carry the trace id" true
         (has r.Sv.r_trace dump))
 
+(* The reply bytes svcbench/wire.ml depends on: a flat header with
+   ,"plan":"..." last, escaped quotes/backslashes/control bytes, raw
+   non-ASCII; and the error envelope. The printed fields are pinned so the
+   golden does not move with the cost model. *)
+let test_wire_reply_golden () =
+  Gpos.Clock.with_fake (fun () ->
+      let server = new_server () in
+      let r = ok_reply server sql_base in
+      let r =
+        {
+          Sv.r_plan =
+            { r.Sv.r_plan with Ir.Expr.pcost = 1234.5; pest_rows = 42.0 };
+          r_dxl = lazy "<dxl:Plan a=\"1\">\n\t\\ caf\xc3\xa9 \x01\r</dxl:Plan>";
+          r_trace = "s3-r7";
+          r_fingerprint = "00ff00ff00ff00ff";
+          r_result = Sv.Rebound;
+          r_ms = 0.4567;
+          r_catalog_version = 2;
+          r_stats_version = 5;
+        }
+      in
+      let header =
+        {|{"ok":true,"trace":"s3-r7","cache":"rebind","fingerprint":"00ff00ff00ff00ff","ms":0.457,"cost":1234.5,"rows":42,"catalog_version":2,"stats_version":5|}
+      in
+      Alcotest.(check string) "reply without plan" (header ^ "}")
+        (Sv.json_of_reply ~include_plan:false r);
+      Alcotest.(check string) "reply with plan"
+        (header
+        ^ {|,"plan":"<dxl:Plan a=\"1\">\n\t\\ caf|} ^ "\xc3\xa9"
+        ^ {| \u0001\r</dxl:Plan>"}|})
+        (Sv.json_of_reply ~include_plan:true r);
+      match run_session server [ "!bogus \"x\"\t\\y"; "!quit" ] with
+      | [ err; _ ] ->
+          Alcotest.(check string) "error envelope"
+            {|{"ok":false,"error":"unknown control command: !bogus \"x\"\t\\y"}|}
+            err
+      | lines ->
+          Alcotest.failf "expected 2 reply lines, got %d" (List.length lines))
+
 let test_sre_plan_identity () =
   (* the acceptance criterion: observability fully on (trace ids, events,
      SLO) versus dark must not change a single plan byte *)
@@ -800,4 +839,5 @@ let suite =
       test_flight_recorder_wiring;
     Alcotest.test_case "plans byte-identical with sre on vs off" `Quick
       test_sre_plan_identity;
+    Alcotest.test_case "wire reply bytes golden" `Quick test_wire_reply_golden;
   ]

@@ -355,29 +355,43 @@ let test_flight_ok_entry () =
       Alcotest.(check bool) "no dump" true (e.R.e_dump = None)
   | [] -> Alcotest.fail "no flight entry recorded"
 
-(* --- telemetry must not affect planning --- *)
-
-let test_plan_identity_on_off () =
-  let optimize telemetry sql =
-    let accessor = small_accessor () in
-    let query = Sqlfront.Binder.bind_sql accessor sql in
-    let config =
-      Orca.Orca_config.with_telemetry (Lazy.force orca_config) telemetry
-    in
-    (Orca.Optimizer.optimize ~config accessor query).Orca.Optimizer.plan
-  in
-  List.iter
-    (fun sql ->
-      let p_on = optimize true sql and p_off = optimize false sql in
-      Alcotest.(check string)
-        ("plan identical with telemetry off: " ^ sql)
-        (Dxl.Dxl_plan.to_string p_on)
-        (Dxl.Dxl_plan.to_string p_off))
-    [
-      "SELECT t1.a FROM t1 WHERE t1.b < 50";
-      "SELECT t1.a, count(*) AS c FROM t1, t2 WHERE t1.a = t2.b GROUP BY t1.a \
-       ORDER BY c DESC LIMIT 5";
-    ]
+(* Concurrent slow misses of one shape (server sessions run
+   Flight.optimize without a lock): each gets its own ring number, and its
+   dump is named after exactly that number, so no dump overwrites another. *)
+let test_flight_concurrent_dumps () =
+  let dir = Filename.temp_file "orca-flight-race" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  R.clear ();
+  R.configure ~slow_ms:(Some 0.0) ~dump_dir:(Some dir) ();
+  Fun.protect
+    ~finally:(fun () ->
+      R.configure ~slow_ms:None ~dump_dir:None ();
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      let sql = "SELECT t1.a, count(*) AS c FROM t1, t2 WHERE t1.a = t2.b GROUP BY t1.a" in
+      let run i =
+        let accessor = small_accessor () in
+        let query = Sqlfront.Binder.bind_sql accessor sql in
+        ignore
+          (Orca.Flight.optimize
+             ~config:(Lazy.force orca_config)
+             ~label:(Printf.sprintf "race-%d" i) ~make_accessor:small_accessor
+             query)
+      in
+      let n = 4 in
+      List.init n (fun i -> Thread.create run i) |> List.iter Thread.join;
+      let es = R.entries () in
+      Alcotest.(check int) "one entry per query" n (List.length es);
+      Alcotest.(check int) "one dump file per query" n (Array.length (Sys.readdir dir));
+      List.iter
+        (fun e ->
+          Alcotest.(check (option string))
+            (e.R.e_label ^ " dump names its own seq")
+            (Some (Orca.Flight.dump_path ~dir ~fingerprint:e.R.e_fingerprint ~seq:e.R.e_seq))
+            e.R.e_dump)
+        es)
 
 (* optimizing under the default config populates the standard metrics *)
 let test_std_instrumentation () =
@@ -415,7 +429,7 @@ let suite =
     Alcotest.test_case "flight recorder slow trigger" `Quick
       test_flight_slow_trigger;
     Alcotest.test_case "flight recorder ok entry" `Quick test_flight_ok_entry;
-    Alcotest.test_case "plan identity telemetry on/off" `Quick
-      test_plan_identity_on_off;
+    Alcotest.test_case "flight dumps of concurrent misses" `Quick
+      test_flight_concurrent_dumps;
     Alcotest.test_case "std instrumentation" `Quick test_std_instrumentation;
   ]

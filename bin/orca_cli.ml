@@ -950,7 +950,7 @@ let workers_arg =
   Arg.(
     value & opt int 1
     & info [ "workers" ] ~docv:"N"
-        ~doc:"Optimization worker domains (paper \\u{00a7}4.2).")
+        ~doc:"Optimization worker domains (paper §4.2).")
 
 let sql_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"SQL")

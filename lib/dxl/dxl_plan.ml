@@ -425,5 +425,6 @@ let of_message (root : Xml.element) : Expr.plan =
         "plan message must contain exactly one root"
 
 let to_string (p : Expr.plan) = Xml.to_string (message p)
+let add_json_escaped buf (p : Expr.plan) = Xml.add_json_escaped buf (message p)
 
 let of_string (s : string) : Expr.plan = of_message (Xml.of_string s)

@@ -16,4 +16,9 @@ val message : Expr.plan -> Xml.element
 val of_message : Xml.element -> Expr.plan
 
 val to_string : Expr.plan -> string
+
+val add_json_escaped : Buffer.t -> Expr.plan -> unit
+(** Append [to_string p] escaped for the inside of a JSON string, without
+    building the DXL string ({!Xml.add_json_escaped}). *)
+
 val of_string : string -> Expr.plan

@@ -39,62 +39,142 @@ let text_content (e : element) =
 
 (* --- printing --- *)
 
-let escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '"' -> Buffer.add_string buf "&quot;"
-      | '\'' -> Buffer.add_string buf "&apos;"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* One printer serves two outputs: plain XML, and XML written straight into
+   the body of a JSON string (a service reply carrying a plan). [add_run buf s
+   pos len] appends a run of [s] in the output's own escaping: a plain copy,
+   or {!Gpos.Json.escape_sub}. Markup goes through it whole; attribute values
+   and text are XML-escaped first, their plain runs going through it in one
+   go and each entity added as is (no entity needs JSON escaping). So the
+   JSON form equals the escaped plain form byte for byte, and neither
+   allocates per attribute. *)
+
+let[@inline] entity = function
+  | '<' -> "&lt;"
+  | '>' -> "&gt;"
+  | '&' -> "&amp;"
+  | '"' -> "&quot;"
+  | '\'' -> "&apos;"
+  | _ -> ""
+
+let add_escaped add_run buf s =
+  let start = ref 0 in
+  for i = 0 to String.length s - 1 do
+    match entity (String.unsafe_get s i) with
+    | "" -> ()
+    | e ->
+        add_run buf s !start (i - !start);
+        Buffer.add_string buf e;
+        start := i + 1
+  done;
+  add_run buf s !start (String.length s - !start)
+
+let escaped_length s =
+  let n = ref (String.length s) in
+  for i = 0 to String.length s - 1 do
+    match entity (String.unsafe_get s i) with
+    | "" -> ()
+    | e -> n := !n + String.length e - 1
+  done;
+  !n
+
+let only_text = List.for_all (function Text _ -> true | Element _ -> false)
+
+(* The exact length of the plain output for [e] at [indent], so [to_string]
+   allocates its buffer once at its final size. *)
+let rec printed_length indent (e : element) =
+  let tag = String.length e.tag in
+  let opening =
+    List.fold_left
+      (fun n (k, v) -> n + String.length k + escaped_length v + 4)
+      ((2 * indent) + 1 + tag)
+      e.attrs
+  in
+  match e.children with
+  | [] -> opening + 3
+  | children when only_text children ->
+      List.fold_left
+        (fun n -> function Text t -> n + escaped_length t | Element _ -> n)
+        (opening + 1 + tag + 4)
+        children
+  | children ->
+      List.fold_left
+        (fun n -> function
+          | Element c -> n + printed_length (indent + 1) c
+          | Text t -> n + (2 * (indent + 1)) + escaped_length t + 1)
+        (opening + 2 + (2 * indent) + tag + 4)
+        children
+
+let xml_header = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n"
+
+let print add_run buf ~header (root : element) =
+  let add s = add_run buf s 0 (String.length s) in
+  let pad indent =
+    for _ = 1 to indent do
+      Buffer.add_string buf "  "
+    done
+  in
+  (* local recursion, not List.iter: no closure per element *)
+  let rec attrs = function
+    | [] -> ()
+    | (k, v) :: rest ->
+        Buffer.add_char buf ' ';
+        add k;
+        add "=\"";
+        add_escaped add_run buf v;
+        add "\"";
+        attrs rest
+  in
+  let rec texts = function
+    | [] -> ()
+    | Text t :: rest ->
+        add_escaped add_run buf t;
+        texts rest
+    | Element _ :: rest -> texts rest
+  in
+  let close tag =
+    Buffer.add_string buf "</";
+    add tag;
+    add ">\n"
+  in
+  let rec emit indent (e : element) =
+    pad indent;
+    Buffer.add_char buf '<';
+    add e.tag;
+    attrs e.attrs;
+    match e.children with
+    | [] -> add "/>\n"
+    | children when only_text children ->
+        Buffer.add_char buf '>';
+        texts children;
+        close e.tag
+    | children ->
+        add ">\n";
+        nodes (indent + 1) children;
+        pad indent;
+        close e.tag
+  and nodes indent = function
+    | [] -> ()
+    | Element c :: rest ->
+        emit indent c;
+        nodes indent rest
+    | Text t :: rest ->
+        pad indent;
+        add_escaped add_run buf t;
+        add "\n";
+        nodes indent rest
+  in
+  if header then add xml_header;
+  emit 0 root
 
 let to_string ?(header = true) (root : element) =
-  let buf = Buffer.create 1024 in
-  if header then
-    Buffer.add_string buf "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n";
-  let rec emit indent (e : element) =
-    let pad = String.make (indent * 2) ' ' in
-    Buffer.add_string buf pad;
-    Buffer.add_char buf '<';
-    Buffer.add_string buf e.tag;
-    List.iter
-      (fun (k, v) ->
-        Buffer.add_string buf (Printf.sprintf " %s=\"%s\"" k (escape v)))
-      e.attrs;
-    match e.children with
-    | [] -> Buffer.add_string buf "/>\n"
-    | children ->
-        Buffer.add_string buf ">";
-        let only_text =
-          List.for_all (function Text _ -> true | Element _ -> false) children
-        in
-        if only_text then begin
-          List.iter
-            (function Text t -> Buffer.add_string buf (escape t) | _ -> ())
-            children;
-          Buffer.add_string buf (Printf.sprintf "</%s>\n" e.tag)
-        end
-        else begin
-          Buffer.add_char buf '\n';
-          List.iter
-            (function
-              | Element c -> emit (indent + 1) c
-              | Text t ->
-                  Buffer.add_string buf (String.make ((indent + 1) * 2) ' ');
-                  Buffer.add_string buf (escape t);
-                  Buffer.add_char buf '\n')
-            children;
-          Buffer.add_string buf pad;
-          Buffer.add_string buf (Printf.sprintf "</%s>\n" e.tag)
-        end
+  let buf =
+    Buffer.create
+      ((if header then String.length xml_header else 0) + printed_length 0 root)
   in
-  emit 0 root;
+  print Buffer.add_substring buf ~header root;
   Buffer.contents buf
+
+let add_json_escaped buf root = print Gpos.Json.escape_sub buf ~header:true root
 
 (* --- parsing --- *)
 

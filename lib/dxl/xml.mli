@@ -22,8 +22,11 @@ val find_child_exn : element -> string -> element
 val children_named : element -> string -> element list
 val text_content : element -> string
 
-val escape : string -> string
 val to_string : ?header:bool -> element -> string
+
+val add_json_escaped : Buffer.t -> element -> unit
+(** Append [to_string e] escaped for the inside of a JSON string, as
+    {!Gpos.Json.escape} would, without building the XML string first. *)
 
 exception Parse_failure of string
 

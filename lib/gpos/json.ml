@@ -15,9 +15,9 @@ type t =
 
 let hex = "0123456789abcdef"
 
-let escape buf s =
-  let start = ref 0 in
-  for i = 0 to String.length s - 1 do
+let escape_sub buf s pos len =
+  let start = ref pos in
+  for i = pos to pos + len - 1 do
     let c = s.[i] in
     if c = '"' || c = '\\' || c < ' ' then begin
       Buffer.add_substring buf s !start (i - !start);
@@ -35,7 +35,9 @@ let escape buf s =
       start := i + 1
     end
   done;
-  Buffer.add_substring buf s !start (String.length s - !start)
+  Buffer.add_substring buf s !start (pos + len - !start)
+
+let escape buf s = escape_sub buf s 0 (String.length s)
 
 let add_string buf s =
   Buffer.add_char buf '"';

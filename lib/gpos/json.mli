@@ -23,6 +23,10 @@ val escape : Buffer.t -> string -> unit
     runs, so a large mostly-plain string (a DXL plan) costs one blit per
     escaped byte plus one per run. *)
 
+val escape_sub : Buffer.t -> string -> int -> int -> unit
+(** [escape_sub buf s pos len] appends [String.sub s pos len], escaped as by
+    {!escape}, without building the substring. *)
+
 val add_string : Buffer.t -> string -> unit
 (** Append [s] as a quoted JSON string. *)
 

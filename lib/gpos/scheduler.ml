@@ -252,12 +252,37 @@ let spawn_children t parent children =
      [child_completed]. Otherwise enqueue the remaining real jobs. *)
   List.iter (fun j -> enqueue t j) to_run
 
+(* Preemption points. Threads of one domain take turns on its runtime lock,
+   and one that never blocks keeps it until the runtime's 50 ms tick: a
+   service session's cheap request, arriving while another session
+   optimizes, would wait that long. So before every job (and at each step
+   of a walk that stands in for jobs) the running thread hands the lock to
+   a waiting one once it has held it for a slice of [slice_s]: a waiter
+   waits about one slice, and an optimization is handed off at most once
+   per slice, not at every job (each hand-off costs two thread switches).
+   The slice's start is per domain, whichever of its threads holds the
+   lock, and read from the system clock, not [Clock], so a test's
+   deterministic clock sees no extra reads. [Thread.yield] returns at once
+   when nobody waits. *)
+let slice_s = 0.001
+let slice_start = Domain.DLS.new_key (fun () -> ref 0.0)
+
+let preempt () =
+  let start = Domain.DLS.get slice_start in
+  let now = Unix.gettimeofday () in
+  (* a clock stepped back must not suspend preemption until it catches up *)
+  if now -. !start >= slice_s || now < !start then begin
+    start := now;
+    Thread.yield ()
+  end
+
 let run_one t ~widx j =
   Atomic.incr t.jobs_run;
   if widx < Array.length t.per_worker_run then
     Atomic.incr t.per_worker_run.(widx);
   if Trace.enabled () then Trace.emit (Trace.Job_start { jid = j.jid });
   Mutex.unlock t.mutex;
+  preempt ();
   Trace.set_running (Some j.jid);
   let result =
     try Ok (j.body ())

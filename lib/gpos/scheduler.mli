@@ -37,6 +37,13 @@ val run : t -> (unit -> outcome) -> unit
     run cannot wedge a later one), and when {!Trace} has a sink installed,
     every lifecycle transition is published to it. *)
 
+val preempt : unit -> unit
+(** A preemption point: once the running thread has held its domain's
+    runtime lock for a 1 ms slice, hand the lock to a thread of the domain
+    waiting for it (rather than at the runtime's next 50 ms tick). {!run}
+    calls it before every job, and a walk that stands in for jobs calls it
+    where a job would start. Costs a clock read when nobody waits. *)
+
 val run_root : t -> (('a -> unit) -> unit) -> 'a option
 (** [run_root t f] runs [f store] as the root job; [store] saves the result
     returned once the job graph drains. *)

@@ -79,16 +79,16 @@ let date_to_string d =
   Printf.sprintf "%04d-%02d-%02d" year month day
 
 (* Inverse of [date_to_string]'s simplified calendar. *)
+let date_of_string_opt s =
+  match List.map int_of_string_opt (String.split_on_char '-' s) with
+  | [ Some y; Some m; Some d ] ->
+      Some (Date (((y - 1900) * 365) + ((m - 1) * 31) + (d - 1)))
+  | _ -> None
+
 let date_of_string s =
-  match String.split_on_char '-' s with
-  | [ y; m; d ] -> (
-      try
-        let y = int_of_string y and m = int_of_string m and d = int_of_string d in
-        Date (((y - 1900) * 365) + ((m - 1) * 31) + (d - 1))
-      with Failure _ ->
-        Gpos.Gpos_error.raise_error Gpos.Gpos_error.Parse_error
-          "bad date literal %S" s)
-  | _ ->
+  match date_of_string_opt s with
+  | Some d -> d
+  | None ->
       Gpos.Gpos_error.raise_error Gpos.Gpos_error.Parse_error
         "bad date literal %S" s
 

@@ -32,6 +32,12 @@ val to_float : t -> float
 
 val date_to_string : int -> string
 val date_of_string : string -> t
+(** Parse ["YYYY-MM-DD"] into a [Date]; raises [Gpos_error] (Parse_error)
+    on anything else. The binder's [DATE '...'] literals. *)
+
+val date_of_string_opt : string -> t option
+(** [date_of_string] returning [None] instead of raising. *)
+
 val to_string : t -> string
 
 val serialize : t -> string

@@ -826,6 +826,8 @@ let rec opt_group_direct t gid req =
       ctx.Memo.cx_state <- Memo.Ctx_complete
 
 and opt_gexpr_direct t ctx gid ge op req =
+  (* where the scheduled walk would start an Opt gexpr job *)
+  Gpos.Scheduler.preempt ();
   let children = List.map (Memo.find t.memo) ge.Memo.ge_children in
   List.iter
     (fun child_reqs ->

@@ -12,7 +12,12 @@
    variant is parameter-rebound — its constants substituted in place — when
    that is provably unambiguous, and otherwise counts as a miss and gets its
    own variant. Rebound plans are returned but never cached, so stored
-   variants always come from the optimizer. *)
+   variants always come from the optimizer.
+
+   A variant also keeps the bytes an exact hit replies with: its plan's DXL,
+   JSON-escaped. They are filled on the first exact hit that asks for them
+   (never on insert: most one-shot entries are never hit) and go when the
+   variant is dropped by the MRU bound, eviction or invalidation. *)
 
 open Ir
 
@@ -179,8 +184,8 @@ let rebind ~old_params ~new_params (plan : Expr.plan) : Expr.plan option =
       (fun o n ->
         match (o, n) with
         | Datum.String so, Datum.String sn -> (
-            match (Datum.date_of_string so, Datum.date_of_string sn) with
-            | Datum.Date _ as od, (Datum.Date _ as nd) ->
+            match (Datum.date_of_string_opt so, Datum.date_of_string_opt sn) with
+            | Some od, Some nd ->
                 if not (Hashtbl.mem map od) then Hashtbl.replace map od nd
             | _ -> ())
         | _ -> ())
@@ -199,9 +204,9 @@ let rebind ~old_params ~new_params (plan : Expr.plan) : Expr.plan option =
         match o with
         | Datum.String s -> (
             hits o > 0
-            || match Datum.date_of_string s with
-               | Datum.Date _ as od -> hits od > 0
-               | _ -> false)
+            || match Datum.date_of_string_opt s with
+               | Some od -> hits od > 0
+               | None -> false)
         | _ -> hits o > 0
       in
       let ok = Hashtbl.fold (fun o _ acc -> acc && accounted o) map true in
@@ -213,7 +218,36 @@ let rebind ~old_params ~new_params (plan : Expr.plan) : Expr.plan option =
 
 type key = { k_fp : string; k_catalog : int; k_stats : int }
 
-type variant = { v_params_key : string; v_params : Datum.t list; v_plan : Expr.plan }
+type variant = {
+  v_params_key : string;
+  v_params : Datum.t list;
+  v_plan : Expr.plan;
+  v_json : string option Atomic.t;
+      (* the plan's JSON-escaped DXL, filled by the first [plan_json] call.
+         Not a [Lazy.t]: two sessions forcing one lazy at once raise
+         [CamlinternalLazy.Undefined]; two racing fills compute the same
+         bytes instead. *)
+}
+
+let make_variant params plan =
+  {
+    v_params_key = Normalize.params_key params;
+    v_params = params;
+    v_plan = plan;
+    v_json = Atomic.make None;
+  }
+
+let variant_plan v = v.v_plan
+
+let plan_json v =
+  match Atomic.get v.v_json with
+  | Some json -> json
+  | None ->
+      let buf = Buffer.create 16384 in
+      Dxl.Dxl_plan.add_json_escaped buf v.v_plan;
+      let json = Buffer.contents buf in
+      Atomic.set v.v_json (Some json);
+      json
 
 type entry = {
   e_norm_text : string;
@@ -277,16 +311,16 @@ let touch t entry =
   t.seq <- t.seq + 1;
   entry.e_lru <- t.seq
 
-type outcome = Hit of Expr.plan | Rebound of Expr.plan | Miss
+type lookup = Exact of variant | Rebind of Expr.plan | Absent
 
-let find t ~fp ~norm_text ~params ~catalog_version ~stats_version =
+let lookup t ~fp ~norm_text ~params ~catalog_version ~stats_version =
   let key = { k_fp = fp; k_catalog = catalog_version; k_stats = stats_version } in
   locked t (fun () ->
       match Hashtbl.find_opt t.table key with
       | None ->
           t.misses <- t.misses + 1;
           Telemetry.Metrics.inc Telemetry.Std.plan_cache_misses;
-          Miss
+          Absent
       | Some entry when entry.e_norm_text <> norm_text ->
           (* 64-bit fingerprint collision: two distinct shapes share a hash.
              Never serve across it. *)
@@ -294,7 +328,7 @@ let find t ~fp ~norm_text ~params ~catalog_version ~stats_version =
           t.misses <- t.misses + 1;
           Telemetry.Metrics.inc Telemetry.Std.plan_cache_collisions;
           Telemetry.Metrics.inc Telemetry.Std.plan_cache_misses;
-          Miss
+          Absent
       | Some entry -> (
           touch t entry;
           let pkey = Normalize.params_key params in
@@ -307,13 +341,13 @@ let find t ~fp ~norm_text ~params ~catalog_version ~stats_version =
                 v :: List.filter (fun w -> w != v) entry.e_variants;
               t.hits <- t.hits + 1;
               Telemetry.Metrics.inc Telemetry.Std.plan_cache_hits;
-              Hit v.v_plan
+              Exact v
           | None -> (
               match entry.e_variants with
               | [] ->
                   t.misses <- t.misses + 1;
                   Telemetry.Metrics.inc Telemetry.Std.plan_cache_misses;
-                  Miss
+                  Absent
               | recent :: _ -> (
                   match
                     rebind ~old_params:recent.v_params ~new_params:params
@@ -322,11 +356,19 @@ let find t ~fp ~norm_text ~params ~catalog_version ~stats_version =
                   | Some plan ->
                       t.rebinds <- t.rebinds + 1;
                       Telemetry.Metrics.inc Telemetry.Std.plan_cache_hits;
-                      Rebound plan
+                      Rebind plan
                   | None ->
                       t.misses <- t.misses + 1;
                       Telemetry.Metrics.inc Telemetry.Std.plan_cache_misses;
-                      Miss))))
+                      Absent))))
+
+type outcome = Hit of Expr.plan | Rebound of Expr.plan | Miss
+
+let find t ~fp ~norm_text ~params ~catalog_version ~stats_version =
+  match lookup t ~fp ~norm_text ~params ~catalog_version ~stats_version with
+  | Exact v -> Hit v.v_plan
+  | Rebind plan -> Rebound plan
+  | Absent -> Miss
 
 let evict_lru t =
   let victim =
@@ -347,6 +389,7 @@ let evict_lru t =
 
 let add t ~fp ~norm_text ~params ~catalog_version ~stats_version plan =
   let key = { k_fp = fp; k_catalog = catalog_version; k_stats = stats_version } in
+  let variant = make_variant params plan in
   locked t (fun () ->
       match Hashtbl.find_opt t.table key with
       | Some entry when entry.e_norm_text <> norm_text ->
@@ -354,31 +397,24 @@ let add t ~fp ~norm_text ~params ~catalog_version ~stats_version plan =
           t.collisions <- t.collisions + 1;
           Telemetry.Metrics.inc Telemetry.Std.plan_cache_collisions
       | Some entry ->
-          let pkey = Normalize.params_key params in
           let kept =
-            List.filter (fun v -> v.v_params_key <> pkey) entry.e_variants
+            List.filter
+              (fun v -> v.v_params_key <> variant.v_params_key)
+              entry.e_variants
           in
           let kept =
             if List.length kept >= t.max_variants then
               List.filteri (fun i _ -> i < t.max_variants - 1) kept
             else kept
           in
-          entry.e_variants <-
-            { v_params_key = pkey; v_params = params; v_plan = plan } :: kept;
+          entry.e_variants <- variant :: kept;
           touch t entry
       | None ->
           if Hashtbl.length t.table >= t.capacity then evict_lru t;
           let entry =
             {
               e_norm_text = norm_text;
-              e_variants =
-                [
-                  {
-                    v_params_key = Normalize.params_key params;
-                    v_params = params;
-                    v_plan = plan;
-                  };
-                ];
+              e_variants = [ variant ];
               e_lru = 0;
             }
           in

@@ -7,7 +7,8 @@
     per parameter vector. Exact-variant hits return the cached plan
     unchanged (byte-identical to fresh optimization for a fixed snapshot);
     other parameter vectors are served by {!rebind} when unambiguous and
-    count as misses otherwise. Rebound plans are never stored. All
+    count as misses otherwise. Rebound plans are never stored. A variant
+    keeps its reply bytes once an exact hit asks for them ({!plan_json}). All
     operations are thread-safe; counters feed both local {!stats} and the
     [orca_plan_cache_*] telemetry series. *)
 
@@ -27,6 +28,33 @@ val set_on_evict : t -> (string -> unit) option -> unit
     while the cache lock is held (keep it cheap; must not reenter the
     cache). The service event log's [evict] hook. *)
 
+type variant
+(** One binding variant: an optimized plan for one parameter vector. *)
+
+val variant_plan : variant -> Expr.plan
+
+val plan_json : variant -> string
+(** The variant's plan as DXL, JSON-escaped: the body of a protocol reply's
+    [plan] string, without its quotes. Computed on the first
+    call and kept with the variant, so later exact hits reply without
+    serializing; they are dropped with the variant. Safe to call from
+    several threads: racing first calls compute the same bytes. *)
+
+type lookup =
+  | Exact of variant      (** exact binding variant *)
+  | Rebind of Expr.plan   (** generic plan with parameters substituted *)
+  | Absent
+
+val lookup :
+  t ->
+  fp:string ->
+  norm_text:string ->
+  params:Datum.t list ->
+  catalog_version:int ->
+  stats_version:int ->
+  lookup
+(** Probe the cache and count the outcome (an exact variant is made MRU). *)
+
 type outcome =
   | Hit of Expr.plan      (** exact binding variant, returned unchanged *)
   | Rebound of Expr.plan  (** generic plan with parameters substituted *)
@@ -40,6 +68,7 @@ val find :
   catalog_version:int ->
   stats_version:int ->
   outcome
+(** {!lookup}, answering a plan for an exact variant. *)
 
 val add :
   t ->

@@ -208,8 +208,11 @@ let finish_request t ~trace ~ms outcome =
 (* Optimize one SQL request through the plan cache. On a miss the query is
    bound and optimized against the snapshot taken before the cache probe, so
    the inserted plan is keyed exactly on the versions it was built from.
-   Misses run through the flight recorder under this request's trace id. *)
-let optimize_sql ?session t sql : (reply, string) result =
+   Misses run through the flight recorder under this request's trace id.
+   An exact hit also returns its cache variant, which holds the reply's
+   plan bytes. *)
+let serve_sql ?session t sql :
+    (reply * Plan_cache.variant option, string) result =
   let s = match session with Some s -> s | None -> t.api in
   let t0 = Gpos.Clock.now () in
   count_request t s;
@@ -227,15 +230,15 @@ let optimize_sql ?session t sql : (reply, string) result =
     let snapshot = Catalog.Source.snapshot t.source in
     let catalog_version = Catalog.Snapshot.catalog_version snapshot in
     let stats_version = Catalog.Snapshot.stats_version snapshot in
-    let plan, result =
+    let plan, result, variant =
       match
-        Plan_cache.find t.cache ~fp:n.Normalize.fingerprint
+        Plan_cache.lookup t.cache ~fp:n.Normalize.fingerprint
           ~norm_text:n.Normalize.text ~params:n.Normalize.params
           ~catalog_version ~stats_version
       with
-      | Plan_cache.Hit plan -> (plan, Hit)
-      | Plan_cache.Rebound plan -> (plan, Rebound)
-      | Plan_cache.Miss ->
+      | Plan_cache.Exact v -> (Plan_cache.variant_plan v, Hit, Some v)
+      | Plan_cache.Rebind plan -> (plan, Rebound, None)
+      | Plan_cache.Absent ->
           let make_accessor () =
             Catalog.Accessor.of_snapshot ~snapshot ~cache:t.md_cache ()
           in
@@ -250,20 +253,21 @@ let optimize_sql ?session t sql : (reply, string) result =
           Plan_cache.add t.cache ~fp:n.Normalize.fingerprint
             ~norm_text:n.Normalize.text ~params:n.Normalize.params
             ~catalog_version ~stats_version report.Orca.Optimizer.plan;
-          (report.Orca.Optimizer.plan, Missed)
+          (report.Orca.Optimizer.plan, Missed, None)
     in
     let ms = Gpos.Clock.ms_since t0 in
     finish_request t ~trace ~ms (`Ok (result, plan.Ir.Expr.pcost));
-    {
-      r_plan = plan;
-      r_dxl = lazy (Dxl.Dxl_plan.to_string plan);
-      r_trace = trace;
-      r_fingerprint = n.Normalize.fingerprint;
-      r_result = result;
-      r_ms = ms;
-      r_catalog_version = catalog_version;
-      r_stats_version = stats_version;
-    }
+    ( {
+        r_plan = plan;
+        r_dxl = lazy (Dxl.Dxl_plan.to_string plan);
+        r_trace = trace;
+        r_fingerprint = n.Normalize.fingerprint;
+        r_result = result;
+        r_ms = ms;
+        r_catalog_version = catalog_version;
+        r_stats_version = stats_version;
+      },
+      variant )
   with
   | reply -> Ok reply
   | exception Orca.Optimizer.Unsupported_query msg ->
@@ -278,6 +282,8 @@ let optimize_sql ?session t sql : (reply, string) result =
       Telemetry.Metrics.inc Telemetry.Std.serve_errors;
       finish_request t ~trace ~ms:(Gpos.Clock.ms_since t0) (`Error msg);
       Error msg
+
+let optimize_sql ?session t sql = Result.map fst (serve_sql ?session t sql)
 
 (* Bump the source version and drop every cache entry keyed on an older
    snapshot; returns the number dropped and the new versions. *)
@@ -375,13 +381,12 @@ let json_error msg =
   Buffer.add_char buf '}';
   Buffer.contents buf
 
-(* The hot path: the plan (~17 KB of DXL on TPC-DS) is escaped straight
-   into the reply buffer. It comes last, after a flat header, because
-   clients split the reply at the plan field. *)
-let json_of_reply ~include_plan (r : reply) =
-  let dxl = if include_plan then Lazy.force r.r_dxl else "" in
-  (* the header, plus the plan grown by its escaped attribute quotes *)
-  let buf = Buffer.create (256 + (String.length dxl * 9 / 8)) in
+(* The hot path. The plan (~17 KB of DXL on TPC-DS) comes last, after a
+   flat header, because clients split the reply at the plan field. Its body
+   is an exact hit's stored bytes ([`Stored]), copied as they are; a DXL
+   string, escaped ([`Dxl]); or the reply's plan printed straight into the
+   buffer, already escaped ([`Print]: no DXL string is built). *)
+let add_reply buf ~plan (r : reply) =
   Buffer.add_string buf {|{"ok":true,"trace":"|};
   Gpos.Json.escape buf r.r_trace;
   Printf.bprintf buf
@@ -389,12 +394,27 @@ let json_of_reply ~include_plan (r : reply) =
     (cache_result_to_string r.r_result)
     r.r_fingerprint r.r_ms r.r_plan.Ir.Expr.pcost r.r_plan.Ir.Expr.pest_rows
     r.r_catalog_version r.r_stats_version;
-  if include_plan then begin
-    Buffer.add_string buf {|,"plan":"|};
-    Gpos.Json.escape buf dxl;
-    Buffer.add_char buf '"'
-  end;
-  Buffer.add_char buf '}';
+  (match plan with
+  | `Omit -> ()
+  | (`Stored _ | `Dxl _ | `Print) as body ->
+      Buffer.add_string buf {|,"plan":"|};
+      (match body with
+      | `Stored json -> Buffer.add_string buf json
+      | `Dxl dxl -> Gpos.Json.escape buf dxl
+      | `Print -> Dxl.Dxl_plan.add_json_escaped buf r.r_plan);
+      Buffer.add_char buf '"');
+  Buffer.add_char buf '}'
+
+let json_of_reply ~include_plan (r : reply) =
+  let plan, plan_bytes =
+    if not include_plan then (`Omit, 0)
+    else
+      let dxl = Lazy.force r.r_dxl in
+      (* the DXL grown by its escaped attribute quotes *)
+      (`Dxl dxl, String.length dxl * 9 / 8)
+  in
+  let buf = Buffer.create (256 + plan_bytes) in
+  add_reply buf ~plan r;
   Buffer.contents buf
 
 let json_of_stats t =
@@ -455,42 +475,59 @@ let json_of_slo t =
      !metrics                   linted Prometheus exposition (escaped)
      !health                    readiness checks
      !slo                       rolling-window SLO report
-     !quit                      end the session *)
-let handle_line t ~session ~session_plan line =
+     !quit                      end the session
+   The response is written into [buf]. *)
+let handle_line t ~session ~session_plan buf line =
+  let reply json =
+    Buffer.add_string buf json;
+    `Reply
+  in
   let line = String.trim line in
   if line = "" then `Silent
   else if String.length line > 0 && line.[0] = '!' then
     match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
-    | [ "!ping" ] -> `Reply {|{"ok":true,"pong":true}|}
-    | [ "!quit" ] -> `Quit {|{"ok":true,"bye":true}|}
+    | [ "!ping" ] -> reply {|{"ok":true,"pong":true}|}
+    | [ "!quit" ] ->
+        Buffer.add_string buf {|{"ok":true,"bye":true}|};
+        `Quit
     | [ "!plan"; "on" ] ->
         session_plan := true;
-        `Reply {|{"ok":true,"plan":true}|}
+        reply {|{"ok":true,"plan":true}|}
     | [ "!plan"; "off" ] ->
         session_plan := false;
-        `Reply {|{"ok":true,"plan":false}|}
-    | [ "!stats" ] -> `Reply (json_of_stats t)
-    | [ "!metrics" ] -> `Reply (json_of_metrics ())
-    | [ "!health" ] -> `Reply (json_of_health t)
-    | [ "!slo" ] -> `Reply (json_of_slo t)
+        reply {|{"ok":true,"plan":false}|}
+    | [ "!stats" ] -> reply (json_of_stats t)
+    | [ "!metrics" ] -> reply (json_of_metrics ())
+    | [ "!health" ] -> reply (json_of_health t)
+    | [ "!slo" ] -> reply (json_of_slo t)
     | [ "!invalidate"; what ] when what = "catalog" || what = "stats" ->
         let target = if what = "catalog" then `Catalog else `Stats in
         let dropped, (cat, st) = invalidate t target in
-        `Reply
+        reply
           (Printf.sprintf
              {|{"ok":true,"invalidated":"%s","dropped":%d,"catalog_version":%d,"stats_version":%d}|}
              what dropped cat st)
-    | _ -> `Reply (json_error ("unknown control command: " ^ line))
+    | _ -> reply (json_error ("unknown control command: " ^ line))
   else
-    match optimize_sql ~session t line with
-    | Ok reply -> `Reply (json_of_reply ~include_plan:!session_plan reply)
-    | Error msg -> `Reply (json_error msg)
+    match serve_sql ~session t line with
+    | Ok (r, variant) ->
+        let plan =
+          match variant with
+          | _ when not !session_plan -> `Omit
+          | Some v -> `Stored (Plan_cache.plan_json v)
+          | None -> `Print
+        in
+        add_reply buf ~plan r;
+        `Reply
+    | Error msg -> reply (json_error msg)
 
-(* One session over arbitrary channels. Responses are flushed per line so a
-   pipelined client never deadlocks; [log] receives session progress. *)
+(* One session over arbitrary channels. Each response is written into the
+   session's one reply buffer, then to the channel, and flushed per line so
+   a pipelined client never deadlocks; [log] receives session progress. *)
 let serve_channels ?(log = ignore) ?(include_plan = false) t ic oc =
   let session = open_session t in
   let session_plan = ref include_plan in
+  let buf = Buffer.create 4096 in
   log (Printf.sprintf "session %d open" session.s_sid);
   let quit = ref false in
   (try
@@ -501,17 +538,14 @@ let serve_channels ?(log = ignore) ?(include_plan = false) t ic oc =
            match input_line ic with
            | exception End_of_file -> quit := true
            | line -> (
-               match handle_line t ~session ~session_plan line with
+               Buffer.clear buf;
+               match handle_line t ~session ~session_plan buf line with
                | `Silent -> ()
-               | `Reply json ->
-                   output_string oc json;
-                   output_char oc '\n';
-                   flush oc
-               | `Quit json ->
-                   output_string oc json;
-                   output_char oc '\n';
+               | (`Reply | `Quit) as action ->
+                   Buffer.add_char buf '\n';
+                   Buffer.output_buffer oc buf;
                    flush oc;
-                   quit := true)
+                   quit := action = `Quit)
          done)
    with Sys_error _ -> ());
   log (Printf.sprintf "session %d closed" session.s_sid)

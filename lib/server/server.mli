@@ -88,7 +88,10 @@ type reply = {
 }
 
 val json_of_reply : include_plan:bool -> reply -> string
-(** The protocol's single-line rendering of a reply (exposed for tests). *)
+(** The protocol's single-line rendering of a reply (exposed for tests),
+    its plan field escaped from [r_dxl]. Sessions write the same bytes
+    without the DXL string: an exact hit copies its variant's
+    {!Plan_cache.plan_json}, other replies print the plan JSON-escaped. *)
 
 val optimize_sql : ?session:session -> t -> string -> (reply, string) result
 (** Field one SQL request through the plan cache; misses bind and optimize

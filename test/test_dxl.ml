@@ -36,6 +36,75 @@ let test_xml_malformed () =
        false
      with Gpos.Gpos_error.Error (Gpos.Gpos_error.Dxl_error, _) -> true)
 
+(* The exact bytes the printer writes: the five entities in an attribute
+   and in text, two-space indentation, self-closed empty elements, text-only
+   elements on one line, mixed children one per line, and the header. *)
+let test_xml_printer_golden () =
+  let open Dxl.Xml in
+  let entities = "a<b>c&d\"e'f" in
+  let escaped = "a&lt;b&gt;c&amp;d&quot;e&apos;f" in
+  let leaf = element "leaf" ~attrs:[ ("v", entities) ] ~children:[ Text entities ] in
+  Alcotest.(check string) "entities, with header"
+    ("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n<leaf v=\"" ^ escaped ^ "\">"
+   ^ escaped ^ "</leaf>\n")
+    (to_string leaf);
+  Alcotest.(check string) "entities, without header"
+    ("<leaf v=\"" ^ escaped ^ "\">" ^ escaped ^ "</leaf>\n")
+    (to_string ~header:false leaf);
+  let doc =
+    element "doc"
+      ~attrs:[ ("k", "v"); ("empty", "") ]
+      ~children:
+        [
+          Element (element "none");
+          Element
+            (element "outer"
+               ~children:
+                 [
+                   Element (element "inner" ~attrs:[ ("x", "1") ]);
+                   Text "mid & end";
+                   Element (element "p" ~children:[ Text "a<"; Text ">b" ]);
+                 ]);
+          Text "tail";
+        ]
+  in
+  Alcotest.(check string) "nested, empty and mixed children"
+    "<doc k=\"v\" empty=\"\">\n\
+    \  <none/>\n\
+    \  <outer>\n\
+    \    <inner x=\"1\"/>\n\
+    \    mid &amp; end\n\
+    \    <p>a&lt;&gt;b</p>\n\
+    \  </outer>\n\
+    \  tail\n\
+     </doc>\n"
+    (to_string ~header:false doc)
+
+(* Printing straight into a JSON string body gives the bytes of escaping the
+   plain output, including the bytes JSON must escape (backslash, control
+   bytes) inside values and text, and the markup's quotes and newlines. *)
+let test_xml_json_escaped () =
+  let open Dxl.Xml in
+  let tricky = "q\"b\\s\tt\r\n\x01 caf\xc3\xa9 <&>'" in
+  let doc =
+    element "dxl:Root"
+      ~attrs:[ ("v", tricky) ]
+      ~children:
+        [
+          Element (element "leaf" ~children:[ Text tricky ]);
+          Text tricky;
+          Element (element "empty");
+        ]
+  in
+  let expected = Buffer.create 256 in
+  Gpos.Json.escape expected (to_string doc);
+  let got = Buffer.create 16 in
+  Buffer.add_string got "prefix:";
+  add_json_escaped got doc;
+  Alcotest.(check string) "escaped plain output, appended"
+    ("prefix:" ^ Buffer.contents expected)
+    (Buffer.contents got)
+
 (* --- scalar round-trips, including a qcheck generator --- *)
 
 let scalar_roundtrip s =
@@ -314,4 +383,6 @@ let suite =
     Alcotest.test_case "Listing 1 shape" `Quick test_listing1_shape;
     Alcotest.test_case "agg/wfunc/sortspec payloads" `Quick
       test_payload_roundtrips;
+    Alcotest.test_case "xml printer golden" `Quick test_xml_printer_golden;
+    Alcotest.test_case "xml printed JSON-escaped" `Quick test_xml_json_escaped;
   ]

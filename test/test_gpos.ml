@@ -380,6 +380,39 @@ let test_ring_late_store () =
   Alcotest.(check (list string)) "newest kept" [ "b"; "c" ] (Gpos.Ring.to_list r);
   Alcotest.(check int) "total" 3 (Gpos.Ring.total r)
 
+(* --- job boundaries hand over the runtime lock --- *)
+
+(* While a run keeps the CPU busy, another thread of the domain that wants
+   the runtime lock gets it at a job boundary within about one 1 ms slice,
+   not at the runtime's 50 ms tick: twenty 1 ms sleeps take far less than
+   twenty ticks would. *)
+let test_scheduler_preempts_busy_run () =
+  let stop = Atomic.make false and slept = ref infinity in
+  let sleeper =
+    Thread.create
+      (fun () ->
+        let t0 = Unix.gettimeofday () in
+        for _ = 1 to 20 do
+          Thread.delay 0.001
+        done;
+        slept := Unix.gettimeofday () -. t0;
+        Atomic.set stop true)
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let busy () =
+    let x = ref 0 in
+    for i = 1 to 2_000 do
+      x := !x + i
+    done;
+    ignore (Sys.opaque_identity !x);
+    if Atomic.get stop || Unix.gettimeofday () > deadline then Gpos.Scheduler.Finished
+    else Gpos.Scheduler.Wait_for []
+  in
+  Gpos.Scheduler.run (Gpos.Scheduler.create ()) busy;
+  Thread.join sleeper;
+  if !slept > 0.5 then Alcotest.failf "twenty 1 ms sleeps took %.3f s beside a busy run" !slept
+
 let suite =
   [
     Alcotest.test_case "prng deterministic" `Quick test_prng_deterministic;
@@ -404,4 +437,5 @@ let suite =
     Alcotest.test_case "json parser is strict" `Quick test_json_rejects;
     Alcotest.test_case "json unicode escapes decode" `Quick test_json_unicode_escapes;
     Alcotest.test_case "ring late store keeps newer" `Quick test_ring_late_store;
+    Alcotest.test_case "scheduler preempts a busy run" `Quick test_scheduler_preempts_busy_run;
   ]

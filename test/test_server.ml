@@ -36,14 +36,15 @@ let result_t =
     ( = )
 
 (* fresh, cache-free optimization of [sql] for byte-identity comparisons *)
-let cold_plan sql =
-  let accessor = Fixtures.small_accessor () in
+let cold_plan_on accessor sql =
   let query = Sqlfront.Binder.bind_sql accessor sql in
   let report =
     Orca.Optimizer.optimize ~config:(Lazy.force Fixtures.orca_config) accessor
       query
   in
   report.Orca.Optimizer.plan
+
+let cold_plan sql = cold_plan_on (Fixtures.small_accessor ()) sql
 
 (* --- normalization --- *)
 
@@ -116,6 +117,29 @@ let test_rebind () =
   (* rebound plans are never cached: the same request rebinds again *)
   let r' = ok_reply server sql_changed in
   Alcotest.check result_t "rebind is not cached" Sv.Rebound r'.Sv.r_result
+
+(* A changed String parameter that is not a date literal used to raise in
+   the date translation (an error reply); it now rebinds as a String. *)
+let test_rebind_non_date_string () =
+  let env = Lazy.force Fixtures.tpcds_env in
+  let server =
+    Sv.of_provider ~config:(Lazy.force Fixtures.orca_config)
+      env.Engines.Engine.provider
+  in
+  let sql cat = "SELECT i_item_id FROM item WHERE i_category = '" ^ cat ^ "'" in
+  ignore (ok_reply server (sql "Books"));
+  let r = ok_reply server (sql "Music") in
+  Alcotest.check result_t "non-date string rebinds" Sv.Rebound r.Sv.r_result;
+  Alcotest.(check string) "rebound plan is the fresh plan"
+    (Dxl.Dxl_plan.to_string
+       (cold_plan_on (Fixtures.tpcds_accessor ()) (sql "Music")))
+    (Lazy.force r.Sv.r_dxl);
+  Alcotest.(check bool) "a date and a non-date never map" true
+    (Pc.rebind
+       ~old_params:[ Ir.Datum.String "2000-01-01" ]
+       ~new_params:[ Ir.Datum.String "not a date" ]
+       r.Sv.r_plan
+    = None)
 
 let test_rebind_ambiguity_misses () =
   let server = new_server () in
@@ -771,6 +795,124 @@ let test_wire_reply_golden () =
       | lines ->
           Alcotest.failf "expected 2 reply lines, got %d" (List.length lines))
 
+(* --- stored reply bytes ----------------------------------------------- *)
+
+(* A session over temporary files: the TPC-DS replies (~18 KB each) would
+   fill a pipe that nobody reads until the session ends. *)
+let run_session_files server lines =
+  let req = Filename.temp_file "orca_req" ".txt"
+  and resp = Filename.temp_file "orca_resp" ".txt" in
+  Out_channel.with_open_bin req (fun oc ->
+      List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+  In_channel.with_open_bin req (fun ic ->
+      Out_channel.with_open_bin resp (fun oc -> Sv.serve_channels server ic oc));
+  let out = In_channel.with_open_bin resp In_channel.input_all in
+  Sys.remove req;
+  Sys.remove resp;
+  List.filter (fun l -> l <> "") (String.split_on_char '\n' out)
+
+(* A reply's plan field as sent (still escaped) and the header before it. *)
+let split_plan reply =
+  let key = {|,"plan":"|} in
+  let rec find i =
+    if i + String.length key > String.length reply then
+      Alcotest.failf "no plan field in %S" reply
+    else if String.sub reply i (String.length key) = key then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  let body = i + String.length key in
+  ( String.sub reply 0 i,
+    String.sub reply body (String.length reply - body - 2) )
+
+let escaped_dxl plan =
+  let buf = Buffer.create 16384 in
+  Gpos.Json.escape buf (Dxl.Dxl_plan.to_string plan);
+  Buffer.contents buf
+
+let test_stored_reply_bytes () =
+  let env = Lazy.force Fixtures.tpcds_env in
+  let server =
+    Sv.of_provider ~config:(Lazy.force Fixtures.orca_config)
+      env.Engines.Engine.provider
+  in
+  let texts =
+    List.map (fun q -> q.Tpcds.Queries.sql) (Lazy.force Tpcds.Queries.all)
+  in
+  (* each text three times on an empty cache, so the first is a fresh miss *)
+  let lines =
+    ("!plan on"
+    :: List.concat_map (fun sql -> [ sql; sql; sql; "!invalidate stats" ]) texts
+    )
+    @ [ List.hd texts; List.hd texts ]
+  in
+  let rec check_texts answered replies texts =
+    match (replies, texts) with
+    | r1 :: r2 :: r3 :: _inv :: rest, sql :: texts ->
+        if not (has {|"ok":true|} r1) then check_texts answered rest texts
+        else begin
+          let h1, p1 = split_plan r1 and h2, p2 = split_plan r2
+          and h3, p3 = split_plan r3 in
+          Alcotest.(check bool) "first send is a miss" true
+            (has {|"cache":"miss"|} h1);
+          Alcotest.(check bool) "second send hits" true (has {|"cache":"hit"|} h2);
+          Alcotest.(check bool) "third send hits" true (has {|"cache":"hit"|} h3);
+          Alcotest.(check string) "second reply's plan is the miss's" p1 p2;
+          Alcotest.(check string) "third reply's plan is the miss's" p1 p3;
+          Alcotest.(check string) "plan is the escaped cold DXL"
+            (escaped_dxl (cold_plan_on (Fixtures.tpcds_accessor ()) sql))
+            p1;
+          check_texts (answered + 1) rest texts
+        end
+    | rest, [] -> (answered, rest)
+    | _ -> Alcotest.fail "fewer replies than requests"
+  in
+  match run_session_files server lines with
+  | plan_on :: replies -> (
+      Alcotest.(check string) "!plan on" {|{"ok":true,"plan":true}|} plan_on;
+      let answered, tail = check_texts 0 replies texts in
+      Alcotest.(check bool) "most TPC-DS texts answered" true (answered >= 100);
+      match tail with
+      | [ again; hit ] ->
+          (* the last invalidation dropped the entry: miss, then hit *)
+          Alcotest.(check bool) "after !invalidate the text misses" true
+            (has {|"cache":"miss"|} (fst (split_plan again)));
+          Alcotest.(check bool) "then hits again" true
+            (has {|"cache":"hit"|} (fst (split_plan hit)));
+          Alcotest.(check string) "same bytes after the refill"
+            (snd (split_plan again)) (snd (split_plan hit))
+      | l -> Alcotest.failf "expected 2 trailing replies, got %d" (List.length l))
+  | [] -> Alcotest.fail "no replies"
+
+(* The first exact hit on a fresh variant fills its bytes; parallel first
+   hits race to fill and must all see the same bytes (a shared [Lazy.t]
+   would raise [CamlinternalLazy.Undefined] here). *)
+let test_stored_bytes_parallel_fill () =
+  let server = new_server () in
+  let r = ok_reply server sql_base in
+  Alcotest.(check result_t) "insert is a miss" Sv.Missed r.Sv.r_result;
+  let n = Nz.normalize sql_base in
+  let cat, st = Catalog.Source.versions (Sv.source server) in
+  let ready = Atomic.make 0 in
+  let first_hit () =
+    Atomic.incr ready;
+    while Atomic.get ready < 8 do
+      Domain.cpu_relax ()
+    done;
+    match
+      Pc.lookup (Sv.plan_cache server) ~fp:n.Nz.fingerprint ~norm_text:n.Nz.text
+        ~params:n.Nz.params ~catalog_version:cat ~stats_version:st
+    with
+    | Pc.Exact v -> Pc.plan_json v
+    | Pc.Rebind _ | Pc.Absent -> failwith "expected an exact hit"
+  in
+  let bytes = List.map Domain.join (List.init 8 (fun _ -> Domain.spawn first_hit)) in
+  List.iter
+    (fun b ->
+      Alcotest.(check string) "every first hit gets the escaped DXL"
+        (escaped_dxl r.Sv.r_plan) b)
+    bytes
+
 let test_sre_plan_identity () =
   (* the acceptance criterion: observability fully on (trace ids, events,
      SLO) versus dark must not change a single plan byte *)
@@ -805,6 +947,8 @@ let suite =
       `Quick test_hit_identical_plan;
     Alcotest.test_case "changed constant takes the rebind path" `Quick
       test_rebind;
+    Alcotest.test_case "non-date string parameters rebind" `Quick
+      test_rebind_non_date_string;
     Alcotest.test_case "ambiguous rebind optimizes fresh" `Quick
       test_rebind_ambiguity_misses;
     Alcotest.test_case "fingerprint collision never served" `Quick
@@ -840,4 +984,8 @@ let suite =
     Alcotest.test_case "plans byte-identical with sre on vs off" `Quick
       test_sre_plan_identity;
     Alcotest.test_case "wire reply bytes golden" `Quick test_wire_reply_golden;
+    Alcotest.test_case "exact hits reply with the stored plan bytes" `Quick
+      test_stored_reply_bytes;
+    Alcotest.test_case "parallel first hits fill one variant's bytes" `Quick
+      test_stored_bytes_parallel_fill;
   ]

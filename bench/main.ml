@@ -717,8 +717,8 @@ let opt_speed () =
         q.Tpcds.Queries.qid on off
         (off /. Float.max on 1e-9)
         r_on.Orca.Optimizer.groups r_on.Orca.Optimizer.gexprs prefiltered
-        obs.Obs.Report.cost.Obs.Report.c_base_reuses
-        obs.Obs.Report.cost.Obs.Report.c_winner_skips)
+        obs.Obs.Report.search.Obs.Report.c_base_reuses
+        obs.Obs.Report.search.Obs.Report.c_winner_skips)
     rows;
   let sum f = List.fold_left (fun a x -> a + f x) 0 rows in
   let sumf f = List.fold_left (fun a x -> a +. f x) 0.0 rows in
@@ -743,11 +743,11 @@ let opt_speed () =
   let fired = sum (fun (_, _, _, _, f, _) -> f) in
   let prefiltered = sum (fun (_, _, _, _, _, p) -> p) in
   let base_reuses =
-    sum (fun (_, _, _, o, _, _) -> o.Obs.Report.cost.Obs.Report.c_base_reuses)
+    sum (fun (_, _, _, o, _, _) -> o.Obs.Report.search.Obs.Report.c_base_reuses)
   in
   let winner_skips =
     sum (fun (_, _, _, o, _, _) ->
-        o.Obs.Report.cost.Obs.Report.c_winner_skips)
+        o.Obs.Report.search.Obs.Report.c_winner_skips)
   in
   let interned =
     sum (fun (_, _, _, o, _, _) ->
@@ -802,8 +802,8 @@ let opt_speed () =
             q.Tpcds.Queries.qid r_on.Orca.Optimizer.opt_time_ms
             r_off.Orca.Optimizer.opt_time_ms r_on.Orca.Optimizer.groups
             r_on.Orca.Optimizer.gexprs f p
-            obs.Obs.Report.cost.Obs.Report.c_base_reuses
-            obs.Obs.Report.cost.Obs.Report.c_winner_skips)
+            obs.Obs.Report.search.Obs.Report.c_base_reuses
+            obs.Obs.Report.search.Obs.Report.c_winner_skips)
         rows;
       pf "\n],\n";
       pf

@@ -660,25 +660,12 @@ let profile_cmd suite trace top check env sql =
 
 (* --- always-on telemetry (lib/telemetry) --- *)
 
-(* Wall-time metrics measure the machine as much as the optimizer: when
-   diffing snapshots, give them a generous ceiling unless the caller's
-   tolerance is already larger. *)
-let time_overrides tolerance =
-  let t = Float.max tolerance 4.0 in
-  [
-    ("orca_opt_ms", t);
-    ("orca_phase_ms", t);
-    ("orca_exec_sim_ms", t);
-    ("orca_peak_heap_mb", t);
-    ("orca_queue_depth_max", t);
-  ]
-
 (* Expose the always-on registry: optionally drive one query or the whole
    suite through the flight recorder first, then emit Prometheus text or a
-   JSON snapshot, lint the exposition, and/or diff against a baseline
-   snapshot. Progress/skip notices go to stderr so stdout stays a valid
-   exposition. *)
-let metrics_cmd suite as_json lint out baseline tolerance slow_ms flight_dir
+   JSON snapshot and/or lint the exposition (`bench/gate.exe --metrics`
+   compares two JSON snapshots). Progress/skip notices go to stderr so
+   stdout stays a valid exposition. *)
+let metrics_cmd suite as_json lint out slow_ms flight_dir
     (env : env Lazy.t) sql =
   (match slow_ms with
   | Some v -> Telemetry.Recorder.configure ~slow_ms:(Some v) ()
@@ -705,41 +692,20 @@ let metrics_cmd suite as_json lint out baseline tolerance slow_ms flight_dir
   let snap = Telemetry.Metrics.snapshot Telemetry.Metrics.default in
   let flight = Telemetry.Recorder.entries () in
   let prom = Telemetry.Expose.to_prometheus snap in
-  let json = Telemetry.Expose.to_json ~flight snap in
-  let body = if as_json then json else prom in
+  let body =
+    if as_json then Telemetry.Expose.to_json ~flight snap else prom
+  in
   (match out with
   | Some path ->
       write_file path body;
       Progress.wrote path
-  | None -> if baseline = None then print_string body);
-  if lint then begin
+  | None -> print_string body);
+  if lint then
     match Telemetry.Expose.lint_prometheus prom with
     | [] -> prerr_endline "prometheus lint: clean"
     | problems ->
         List.iter (fun p -> prerr_endline ("prometheus lint: " ^ p)) problems;
         exit 1
-  end;
-  match baseline with
-  | None -> ()
-  | Some path -> (
-      let base_text = In_channel.with_open_bin path In_channel.input_all in
-      match
-        ( Telemetry.Expose.parse_snapshot base_text,
-          Telemetry.Expose.parse_snapshot json )
-      with
-      | Ok b, Ok f ->
-          let checks =
-            Telemetry.Expose.diff ~tolerance
-              ~overrides:(time_overrides tolerance) ~baseline:b ~fresh:f ()
-          in
-          print_string (Telemetry.Expose.render_diff checks);
-          if not (Telemetry.Expose.diff_ok checks) then exit 1
-      | Error msg, _ ->
-          prerr_endline ("metrics: cannot parse baseline: " ^ msg);
-          exit 2
-      | _, Error msg ->
-          prerr_endline ("metrics: cannot parse fresh snapshot: " ^ msg);
-          exit 2)
 
 (* One client session against a running --socket listener: forward stdin
    lines, print each reply line to stdout. Lets scripts (CI's serve-gate)
@@ -1229,24 +1195,6 @@ let () =
            & info [ "out" ] ~docv:"PATH"
                ~doc:"Write the exposition to a file instead of stdout.")
        in
-       let baseline_arg =
-         Arg.(
-           value
-           & opt (some string) None
-           & info [ "baseline" ] ~docv:"PATH"
-               ~doc:
-                 "Diff the fresh JSON snapshot against a baseline snapshot \
-                  (the regression sentinel); prints the failed checks and \
-                  exits nonzero on regression.")
-       in
-       let tolerance_arg =
-         Arg.(
-           value & opt float 0.25
-           & info [ "tolerance" ] ~docv:"T"
-               ~doc:
-                 "Relative tolerance for the baseline diff (wall-time \
-                  metrics always get at least 4.0).")
-       in
        let slow_arg =
          Arg.(
            value
@@ -1275,18 +1223,17 @@ let () =
               "Expose the always-on telemetry registry: optimize a query or \
                the whole suite through the flight recorder, then emit \
                Prometheus text or a JSON snapshot (p50/p95/p99 per \
-               histogram), lint the exposition, or diff two snapshots as a \
-               regression sentinel.")
+               histogram) and optionally lint the exposition. Compare two \
+               JSON snapshots with `bench/gate.exe --metrics`.")
          Term.(
-           const (fun suite prom json lint out baseline tolerance slow
-                      flight_dir sf segs workers sql ->
+           const (fun suite prom json lint out slow flight_dir sf segs
+                      workers sql ->
                ignore (prom : bool);
-               metrics_cmd suite json lint out baseline tolerance slow
-                 flight_dir
+               metrics_cmd suite json lint out slow flight_dir
                  (lazy (make_env sf segs workers))
                  sql)
            $ suite_arg $ prom_arg $ json_arg $ lint_arg $ out_arg
-           $ baseline_arg $ tolerance_arg $ slow_arg $ flight_dir_arg $ sf_arg
+           $ slow_arg $ flight_dir_arg $ sf_arg
            $ segs_arg $ workers_arg $ sql_opt_arg));
       (let socket_arg =
          Arg.(

@@ -142,10 +142,7 @@ let optimize_inner ~(config : Orca_config.t) (accessor : Catalog.Accessor.t)
           end
         in
         let tree =
-          if config.Orca_config.normalize then
-            Obs.Span.with_ ~name:"normalize" (fun () ->
-                Xform.Normalize.run tree)
-          else tree
+          Obs.Span.with_ ~name:"normalize" (fun () -> Xform.Normalize.run tree)
         in
         let tree =
           if config.Orca_config.prune_columns then
@@ -159,7 +156,9 @@ let optimize_inner ~(config : Orca_config.t) (accessor : Catalog.Accessor.t)
   Ltree.validate tree;
   let req = root_req query in
   (* every stage actually run, for the per-stage observability snapshots *)
-  let stage_runs : (string * Search.Engine.t) list ref = ref [] in
+  let stage_runs : (string * Memolib.Memo.t * Search.Engine.t) list ref =
+    ref []
+  in
   (* stage loop: stop at the first stage whose best plan beats its cost
      threshold; otherwise keep the cheapest plan across stages *)
   let rec stages_loop best = function
@@ -173,7 +172,8 @@ let optimize_inner ~(config : Orca_config.t) (accessor : Catalog.Accessor.t)
               run_stage config ~factory ~base tree req stage)
         in
         if config.Orca_config.obs then
-          stage_runs := (stage.Xform.Ruleset.stage_name, engine) :: !stage_runs;
+          stage_runs :=
+            (stage.Xform.Ruleset.stage_name, memo, engine) :: !stage_runs;
         let result = (memo, engine, plan, stage.Xform.Ruleset.stage_name) in
         let better =
           match best with
@@ -212,49 +212,20 @@ let optimize_inner ~(config : Orca_config.t) (accessor : Catalog.Accessor.t)
      else [])
     @ sanitize_diags
   in
-  let jobs_created, jobs_run, goal_hits = Search.Engine.scheduler_stats engine in
-  let counters = Search.Engine.counters engine in
+  let memo_stat = Memolib.Memo.profile memo in
+  let search = Search.Engine.search_profile engine in
+  let sched = Obs.Report.sched_total (Search.Engine.sched_profiles engine) in
   let heap_mb =
     float_of_int (Gc.quick_stat ()).Gc.heap_words *. 8.0 /. 1048576.0
   in
   Catalog.Accessor.release accessor;
   let opt_ms = Gpos.Clock.ms_since t0 in
   let phase_ms = List.rev !phases in
-  (* One cold-path update of the always-on registry (lib/telemetry),
-     tapping counters the winning stage's engine/Memo/scheduler maintain
+  (* One cold-path update of the always-on registry (lib/telemetry) from
+     the records the winning stage's Memo, engine and schedulers keep
      unconditionally. *)
-  begin
-    let mp = Memolib.Memo.profile memo in
-    let cost = Search.Engine.cost_profile engine in
-    let max_q =
-      List.fold_left
-        (fun acc (s : Obs.Report.sched_stat) ->
-          max acc s.Obs.Report.s_max_queue_depth)
-        0
-        (Search.Engine.sched_profiles engine)
-    in
-    Telemetry.Std.record_query ~opt_time_ms:opt_ms
-      ~groups:(Memolib.Memo.ngroups memo)
-      ~gexprs:(Memolib.Memo.ngexprs memo)
-      ~inserts:mp.Memolib.Memo.p_inserts
-      ~dedup_hits:mp.Memolib.Memo.p_dedup_hits
-      ~merges:mp.Memolib.Memo.p_merges
-      ~ops_interned:mp.Memolib.Memo.p_ops_interned
-      ~intern_hits:mp.Memolib.Memo.p_intern_hits
-      ~fired:counters.Search.Engine.xform_applied
-      ~results:counters.Search.Engine.xform_results
-      ~prefiltered:counters.Search.Engine.prefilter_skips
-      ~ncontexts:counters.Search.Engine.contexts_created
-      ~nop_costings:cost.Obs.Report.c_op_costings
-      ~nenforcer_costings:cost.Obs.Report.c_enforcer_costings
-      ~nalternatives:counters.Search.Engine.alternatives_costed
-      ~ndeadline_checks:cost.Obs.Report.c_deadline_checks
-      ~nstats_hits:counters.Search.Engine.stats_hits
-      ~nbase_reuses:counters.Search.Engine.base_reuses
-      ~nwinner_skips:counters.Search.Engine.winner_skips
-      ~ngoal_hits:goal_hits ~njobs_created:jobs_created ~njobs_run:jobs_run
-      ~max_queue_depth:max_q ~heap_mb ~phases:phase_ms
-  end;
+  Telemetry.Std.record_query ~opt_time_ms:opt_ms ~memo:memo_stat ~search ~sched
+    ~heap_mb ~phases:phase_ms;
   let obs =
     if not config.Orca_config.obs then None
     else
@@ -262,14 +233,14 @@ let optimize_inner ~(config : Orca_config.t) (accessor : Catalog.Accessor.t)
          scheduler counters by label, Memo growth across the stages' Memos *)
       let per_stage =
         List.rev_map
-          (fun (sname, eng) ->
+          (fun (sname, stage_memo, eng) ->
             {
               Obs.Report.empty with
               Obs.Report.stage_names = [ sname ];
               rules = Search.Engine.rule_profile eng;
-              memo = Search.Engine.memo_profile eng;
+              memo = Memolib.Memo.profile stage_memo;
               scheds = Search.Engine.sched_profiles eng;
-              cost = Search.Engine.cost_profile eng;
+              search = Search.Engine.search_profile eng;
             })
           !stage_runs
       in
@@ -284,13 +255,13 @@ let optimize_inner ~(config : Orca_config.t) (accessor : Catalog.Accessor.t)
   {
     plan;
     opt_time_ms = opt_ms;
-    groups = Memolib.Memo.ngroups memo;
-    gexprs = Memolib.Memo.ngexprs memo;
-    contexts = (Search.Engine.counters engine).Search.Engine.contexts_created;
-    jobs_created;
-    jobs_run;
-    goal_hits;
-    xforms = counters.Search.Engine.xform_applied;
+    groups = memo_stat.Obs.Report.m_groups;
+    gexprs = memo_stat.Obs.Report.m_gexprs;
+    contexts = search.Obs.Report.c_contexts;
+    jobs_created = sched.Gpos.Scheduler.p_jobs_created;
+    jobs_run = sched.Gpos.Scheduler.p_jobs_run;
+    goal_hits = sched.Gpos.Scheduler.p_goal_hits;
+    xforms = search.Obs.Report.c_xforms;
     stage_name;
     peak_heap_mb = heap_mb;
     memo;

@@ -8,9 +8,7 @@ type t = {
   segments : int;            (* target cluster size *)
   model : Cost.Cost_model.t;
   decorrelate : bool;        (* pull correlated subqueries into joins *)
-  normalize : bool;
   prune_columns : bool;      (* narrow join inputs to needed columns *)
-  trace : bool;
   verify : bool;             (* run the static analyzers on the result *)
   sanitize : bool;           (* record a trace, run the concurrency sanitizer *)
   fuzz_seed : int option;    (* permute the costing schedule (with sanitize) *)
@@ -45,9 +43,7 @@ let default =
     segments = Cost.Cost_model.default.Cost.Cost_model.segments;
     model = Cost.Cost_model.default;
     decorrelate = true;
-    normalize = true;
     prune_columns = true;
-    trace = false;
     verify = false;
     sanitize = false;
     fuzz_seed = None;

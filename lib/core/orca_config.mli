@@ -9,9 +9,7 @@ type t = {
   segments : int;      (** target cluster size *)
   model : Cost.Cost_model.t;
   decorrelate : bool;  (** pull correlated subqueries into joins *)
-  normalize : bool;
   prune_columns : bool; (** narrow join inputs to the needed columns *)
-  trace : bool;
   verify : bool;
       (** run the {!Verify} static analyzers (plan, Memo, DXL round trip)
           on every optimization result *)

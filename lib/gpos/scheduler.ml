@@ -18,7 +18,7 @@
 
    Lock discipline: every field of [t] below the mutex is read and written
    with [t.mutex] held, except the statistics counters, which are [Atomic.t]
-   so that [stats] can be read from any domain without synchronizing with the
+   so that [profile] can be read from any domain without synchronizing with the
    workers. Job bodies run with the mutex released.
 
    When [Trace] has a sink installed, every lifecycle transition is published
@@ -94,10 +94,8 @@ let create ?(workers = 1) ?fuzz ?(policy = Fifo) () =
     workers;
   }
 
-let stats t =
-  (Atomic.get t.jobs_created, Atomic.get t.jobs_run, Atomic.get t.goal_hits)
-
-(* Utilization snapshot for the observability report (lib/obs). *)
+(* Utilization snapshot: the one record of the scheduler's work counts,
+   read by the observability report (lib/obs) and telemetry. *)
 type profile = {
   p_workers : int;
   p_jobs_created : int;

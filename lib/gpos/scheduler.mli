@@ -48,9 +48,6 @@ val run_root : t -> (('a -> unit) -> unit) -> 'a option
 (** [run_root t f] runs [f store] as the root job; [store] saves the result
     returned once the job graph drains. *)
 
-val stats : t -> int * int * int
-(** (jobs created, job executions, goal-queue hits). *)
-
 type profile = {
   p_workers : int;
   p_jobs_created : int;
@@ -60,6 +57,7 @@ type profile = {
   p_max_queue_depth : int; (** high-water mark of the run queue *)
   p_per_worker_run : int list;  (** job executions per worker domain *)
 }
-(** Utilization snapshot for the observability report (lib/obs). *)
+(** Utilization snapshot: the one record of the scheduler's work counts,
+    read by the observability report (lib/obs) and telemetry. *)
 
 val profile : t -> profile

@@ -143,31 +143,21 @@ let create ?(interning = true) () =
       };
   }
 
-(* Snapshot of the growth counters, for Obs.Report. *)
-type profile = {
-  p_inserts : int;
-  p_dedup_hits : int;
-  p_merges : int;
-  p_ctx_created : int;
-  p_ctx_hits : int;
-  p_winner_updates : int;
-  p_winner_kept : int;
-  p_ops_interned : int; (* distinct operator payloads (0 when interning off) *)
-  p_intern_hits : int;  (* operators that resolved to an existing id *)
-}
-
-let profile t =
+(* Growth counters, in the one record lib/obs and lib/telemetry read. *)
+let profile t : Obs.Report.memo_stat =
   {
-    p_inserts = t.obs.oc_inserts;
-    p_dedup_hits = t.obs.oc_dedup_hits;
-    p_merges = t.obs.oc_merges;
-    p_ctx_created = Atomic.get t.obs.oc_ctx_created;
-    p_ctx_hits = Atomic.get t.obs.oc_ctx_hits;
-    p_winner_updates = Atomic.get t.obs.oc_winner_updates;
-    p_winner_kept = Atomic.get t.obs.oc_winner_kept;
-    p_ops_interned =
+    m_groups = t.ngroups;
+    m_gexprs = t.ngexprs;
+    m_inserts = t.obs.oc_inserts;
+    m_dedup_hits = t.obs.oc_dedup_hits;
+    m_merges = t.obs.oc_merges;
+    m_ctx_created = Atomic.get t.obs.oc_ctx_created;
+    m_ctx_cache_hits = Atomic.get t.obs.oc_ctx_hits;
+    m_winner_updates = Atomic.get t.obs.oc_winner_updates;
+    m_winner_kept = Atomic.get t.obs.oc_winner_kept;
+    m_ops_interned =
       (match t.op_intern with None -> 0 | Some tbl -> Intern.size tbl);
-    p_intern_hits =
+    m_intern_hits =
       (match t.op_intern with None -> 0 | Some tbl -> Intern.hits tbl);
   }
 

@@ -89,22 +89,11 @@ val create : ?interning:bool -> unit -> t
     detection compares dense ids instead of deep structures; off preserves
     the structural path for A/B identity testing. *)
 
-type profile = {
-  p_inserts : int;         (** [insert] calls (after tree flattening) *)
-  p_dedup_hits : int;      (** inserts resolved to an existing expression *)
-  p_merges : int;          (** group merges from duplicate detection *)
-  p_ctx_created : int;
-  p_ctx_hits : int;        (** [obtain_context] found an existing context *)
-  p_winner_updates : int;  (** [record_alternative] improved [cx_best] *)
-  p_winner_kept : int;     (** the incumbent winner survived a challenge *)
-  p_ops_interned : int;    (** distinct operator payloads (0 if interning off) *)
-  p_intern_hits : int;     (** operators resolved to an existing interned id *)
-}
-(** Growth/duplicate-detection/winner-cache counters for the observability
-    report (lib/obs). Collected unconditionally — each is one counter bump
-    on an already-locked path. *)
-
-val profile : t -> profile
+val profile : t -> Obs.Report.memo_stat
+(** Size, growth, duplicate-detection and winner-cache counters for the
+    observability report (lib/obs) and telemetry. Collected
+    unconditionally — each is one counter bump on an already-locked
+    path. *)
 
 val find : t -> int -> int
 (** Canonical group id after merges. *)

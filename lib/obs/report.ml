@@ -1,12 +1,14 @@
 (* The unified observability report: per-rule profiles, Memo growth,
-   scheduler utilization, cost-model invocations, execution metrics and the
+   scheduler utilization, search work counts, execution metrics and the
    collected spans, merged into one value attached to [Optimizer.report].
 
-   Producers (the engine, the Memo, the scheduler) expose snapshots of their
-   own counters; [Orca.Optimizer] assembles one [t] per optimization stage
-   and [merge]s them. The CLI merges further across a whole suite. Exec
-   metrics arrive as generic key/value pairs ([Exec.Metrics.to_kv]) so this
-   library depends on nothing above gpos. *)
+   Each counting layer fills one record defined once: the Memo its
+   [memo_stat], the engine its [search_stat], each scheduler its
+   [Gpos.Scheduler.profile]. [Orca.Optimizer] hands the same records to
+   lib/telemetry, assembles one [t] per optimization stage and [merge]s
+   them; the CLI merges further across a whole suite. Exec metrics arrive
+   as generic key/value pairs ([Exec.Metrics.to_kv]) so this library
+   depends on nothing above gpos. *)
 
 type rule_stat = {
   r_name : string;
@@ -34,22 +36,18 @@ type memo_stat = {
   m_intern_hits : int;     (* operators resolved to an existing interned id *)
 }
 
-type sched_stat = {
-  s_label : string;  (* "explore/implement" | "costing" *)
-  s_workers : int;
-  s_jobs_created : int;
-  s_jobs_run : int;
-  s_jobs_suspended : int;
-  s_goal_hits : int;
-  s_max_queue_depth : int;
-  s_per_worker_run : int list;
-}
-
-type cost_stat = {
+(* Search work counts of one engine: rule applications, costing and the
+   caches that skip work. *)
+type search_stat = {
+  c_xforms : int;            (* transformation-rule applications *)
+  c_xform_results : int;     (* alternatives produced by rule applications *)
+  c_prefilter_skips : int;   (* rule applications pruned by the shape bitmap *)
+  c_contexts : int;          (* optimization contexts created by the engine *)
   c_op_costings : int;       (* Cost_model.op_cost invocations *)
   c_enforcer_costings : int; (* Cost_model.enforcer_cost invocations *)
   c_alternatives : int;      (* alternatives recorded into contexts *)
   c_deadline_checks : int;
+  c_stats_hits : int;        (* rows/width/skew served from the stats memo *)
   c_base_reuses : int;       (* op+children base costs served from cache *)
   c_winner_skips : int;      (* child Opt spawns skipped: context complete *)
 }
@@ -73,8 +71,9 @@ type t = {
   stage_names : string list;
   rules : rule_stat list;
   memo : memo_stat;
-  scheds : sched_stat list;
-  cost : cost_stat;
+  scheds : (string * Gpos.Scheduler.profile) list;
+      (* "explore/implement" | "costing" *)
+  search : search_stat;
   exec : (string * float) list;  (* Exec.Metrics key/values, when executed *)
   acc : acc_stat list;  (* cardinality accuracy by operator class (lib/prov) *)
   spans : Span.event list;
@@ -95,12 +94,17 @@ let empty_memo =
     m_intern_hits = 0;
   }
 
-let empty_cost =
+let empty_search =
   {
+    c_xforms = 0;
+    c_xform_results = 0;
+    c_prefilter_skips = 0;
+    c_contexts = 0;
     c_op_costings = 0;
     c_enforcer_costings = 0;
     c_alternatives = 0;
     c_deadline_checks = 0;
+    c_stats_hits = 0;
     c_base_reuses = 0;
     c_winner_skips = 0;
   }
@@ -114,7 +118,7 @@ let empty =
     rules = [];
     memo = empty_memo;
     scheds = [];
-    cost = empty_cost;
+    search = empty_search;
     exec = [];
     acc = [];
     spans = [];
@@ -143,91 +147,85 @@ let merge_memo a b =
     m_intern_hits = a.m_intern_hits + b.m_intern_hits;
   }
 
-let merge_cost a b =
+let merge_search a b =
   {
+    c_xforms = a.c_xforms + b.c_xforms;
+    c_xform_results = a.c_xform_results + b.c_xform_results;
+    c_prefilter_skips = a.c_prefilter_skips + b.c_prefilter_skips;
+    c_contexts = a.c_contexts + b.c_contexts;
     c_op_costings = a.c_op_costings + b.c_op_costings;
     c_enforcer_costings = a.c_enforcer_costings + b.c_enforcer_costings;
     c_alternatives = a.c_alternatives + b.c_alternatives;
     c_deadline_checks = a.c_deadline_checks + b.c_deadline_checks;
+    c_stats_hits = a.c_stats_hits + b.c_stats_hits;
     c_base_reuses = a.c_base_reuses + b.c_base_reuses;
     c_winner_skips = a.c_winner_skips + b.c_winner_skips;
   }
 
-let merge_rules a b =
-  let tbl = Hashtbl.create 32 in
-  List.iter (fun r -> Hashtbl.replace tbl r.r_name r) a;
-  List.iter
-    (fun r ->
-      match Hashtbl.find_opt tbl r.r_name with
-      | None -> Hashtbl.replace tbl r.r_name r
-      | Some p ->
-          Hashtbl.replace tbl r.r_name
-            {
-              p with
-              r_fired = p.r_fired + r.r_fired;
-              r_results = p.r_results + r.r_results;
-              r_skipped = p.r_skipped + r.r_skipped;
-              r_prefiltered = p.r_prefiltered + r.r_prefiltered;
-              r_time_ms = p.r_time_ms +. r.r_time_ms;
-            })
-    b;
-  Hashtbl.fold (fun _ r acc -> r :: acc) tbl []
-  |> List.sort (fun a b -> compare a.r_name b.r_name)
-
-let merge_scheds a b =
-  let tbl = Hashtbl.create 8 in
-  List.iter (fun s -> Hashtbl.replace tbl s.s_label s) a;
-  List.iter
-    (fun s ->
-      match Hashtbl.find_opt tbl s.s_label with
-      | None -> Hashtbl.replace tbl s.s_label s
-      | Some p ->
-          Hashtbl.replace tbl s.s_label
-            {
-              p with
-              s_workers = max p.s_workers s.s_workers;
-              s_jobs_created = p.s_jobs_created + s.s_jobs_created;
-              s_jobs_run = p.s_jobs_run + s.s_jobs_run;
-              s_jobs_suspended = p.s_jobs_suspended + s.s_jobs_suspended;
-              s_goal_hits = p.s_goal_hits + s.s_goal_hits;
-              s_max_queue_depth = max p.s_max_queue_depth s.s_max_queue_depth;
-              s_per_worker_run =
-                (try List.map2 ( + ) p.s_per_worker_run s.s_per_worker_run
-                 with Invalid_argument _ -> p.s_per_worker_run);
-            })
-    b;
-  Hashtbl.fold (fun _ s acc -> s :: acc) tbl []
-  |> List.sort (fun a b -> compare a.s_label b.s_label)
-
-let merge_exec a b =
+(* The union of two keyed lists, sorted by key; an entry on both sides is
+   [merge]d. *)
+let merge_keyed key merge a b =
   let tbl = Hashtbl.create 16 in
-  List.iter (fun (k, v) -> Hashtbl.replace tbl k v) a;
+  List.iter (fun x -> Hashtbl.replace tbl (key x) x) a;
   List.iter
-    (fun (k, v) ->
-      Hashtbl.replace tbl k (v +. Option.value ~default:0.0 (Hashtbl.find_opt tbl k)))
+    (fun x ->
+      let k = key x in
+      Hashtbl.replace tbl k
+        (match Hashtbl.find_opt tbl k with None -> x | Some p -> merge p x))
     b;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  Hashtbl.fold (fun _ x acc -> x :: acc) tbl []
+  |> List.sort (fun x y -> compare (key x) (key y))
 
-let merge_acc a b =
-  let tbl = Hashtbl.create 16 in
-  List.iter (fun s -> Hashtbl.replace tbl s.a_class s) a;
-  List.iter
-    (fun s ->
-      match Hashtbl.find_opt tbl s.a_class with
-      | None -> Hashtbl.replace tbl s.a_class s
-      | Some p ->
-          Hashtbl.replace tbl s.a_class
-            {
-              p with
-              a_nodes = p.a_nodes + s.a_nodes;
-              a_log_sum = p.a_log_sum +. s.a_log_sum;
-              a_max = Float.max p.a_max s.a_max;
-              a_unobserved = p.a_unobserved + s.a_unobserved;
-            })
-    b;
-  Hashtbl.fold (fun _ s acc -> s :: acc) tbl []
-  |> List.sort (fun a b -> compare a.a_class b.a_class)
+let merge_rules =
+  merge_keyed
+    (fun r -> r.r_name)
+    (fun p r ->
+      {
+        p with
+        r_fired = p.r_fired + r.r_fired;
+        r_results = p.r_results + r.r_results;
+        r_skipped = p.r_skipped + r.r_skipped;
+        r_prefiltered = p.r_prefiltered + r.r_prefiltered;
+        r_time_ms = p.r_time_ms +. r.r_time_ms;
+      })
+
+(* Two schedulers' utilization as one: counts sum, the worker count and
+   queue high-water mark take the larger. *)
+let merge_sched (p : Gpos.Scheduler.profile) (s : Gpos.Scheduler.profile) :
+    Gpos.Scheduler.profile =
+  {
+    p_workers = max p.p_workers s.p_workers;
+    p_jobs_created = p.p_jobs_created + s.p_jobs_created;
+    p_jobs_run = p.p_jobs_run + s.p_jobs_run;
+    p_jobs_suspended = p.p_jobs_suspended + s.p_jobs_suspended;
+    p_goal_hits = p.p_goal_hits + s.p_goal_hits;
+    p_max_queue_depth = max p.p_max_queue_depth s.p_max_queue_depth;
+    p_per_worker_run =
+      (try List.map2 ( + ) p.p_per_worker_run s.p_per_worker_run
+       with Invalid_argument _ -> p.p_per_worker_run);
+  }
+
+(* Every labelled scheduler folded into one profile. *)
+let sched_total = function
+  | [] -> invalid_arg "Report.sched_total: no schedulers"
+  | (_, p) :: rest -> List.fold_left (fun acc (_, s) -> merge_sched acc s) p rest
+
+let merge_scheds =
+  merge_keyed fst (fun (label, p) (_, s) -> (label, merge_sched p s))
+
+let merge_exec = merge_keyed fst (fun (k, p) (_, v) -> (k, v +. p))
+
+let merge_acc =
+  merge_keyed
+    (fun s -> s.a_class)
+    (fun p s ->
+      {
+        p with
+        a_nodes = p.a_nodes + s.a_nodes;
+        a_log_sum = p.a_log_sum +. s.a_log_sum;
+        a_max = Float.max p.a_max s.a_max;
+        a_unobserved = p.a_unobserved + s.a_unobserved;
+      })
 
 let merge a b =
   {
@@ -240,7 +238,7 @@ let merge a b =
     rules = merge_rules a.rules b.rules;
     memo = merge_memo a.memo b.memo;
     scheds = merge_scheds a.scheds b.scheds;
-    cost = merge_cost a.cost b.cost;
+    search = merge_search a.search b.search;
     exec = merge_exec a.exec b.exec;
     acc = merge_acc a.acc b.acc;
     spans = a.spans @ b.spans;
@@ -308,19 +306,19 @@ let to_string ?(top = 10) t =
       (pct m.m_intern_hits (m.m_ops_interned + m.m_intern_hits));
   (* schedulers *)
   List.iter
-    (fun s ->
+    (fun (label, (s : Gpos.Scheduler.profile)) ->
       pf "scheduler[%s]: workers=%d created=%d run=%d suspended=%d goal-hits=%d max-queue=%d per-worker=[%s]\n"
-        s.s_label s.s_workers s.s_jobs_created s.s_jobs_run s.s_jobs_suspended
-        s.s_goal_hits s.s_max_queue_depth
-        (String.concat ";" (List.map string_of_int s.s_per_worker_run)))
+        label s.p_workers s.p_jobs_created s.p_jobs_run s.p_jobs_suspended
+        s.p_goal_hits s.p_max_queue_depth
+        (String.concat ";" (List.map string_of_int s.p_per_worker_run)))
     t.scheds;
   (* cost model *)
+  let c = t.search in
   pf "cost model: op-costings=%d enforcer-costings=%d alternatives=%d deadline-checks=%d\n"
-    t.cost.c_op_costings t.cost.c_enforcer_costings t.cost.c_alternatives
-    t.cost.c_deadline_checks;
-  if t.cost.c_base_reuses > 0 || t.cost.c_winner_skips > 0 then
-    pf "cost reuse: base-costs=%d winner-skips=%d\n" t.cost.c_base_reuses
-      t.cost.c_winner_skips;
+    c.c_op_costings c.c_enforcer_costings c.c_alternatives c.c_deadline_checks;
+  if c.c_base_reuses > 0 || c.c_winner_skips > 0 then
+    pf "cost reuse: base-costs=%d winner-skips=%d\n" c.c_base_reuses
+      c.c_winner_skips;
   (* exec *)
   if t.exec <> [] then begin
     pf "execution: ";

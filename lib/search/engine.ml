@@ -10,19 +10,8 @@ module Mexpr = Memolib.Mexpr
    to: Exp(g)/Exp(gexpr), Imp(g)/Imp(gexpr), Opt(g,req)/Opt(gexpr,req) and
    Xform(gexpr,t), with per-goal queues deduplicating concurrent work. *)
 
-type counters = {
-  xform_applied : int;
-  xform_results : int;
-  alternatives_costed : int;
-  contexts_created : int;
-  prefilter_skips : int;
-  winner_skips : int;
-  base_reuses : int;
-  stats_hits : int;
-}
-
-(* Internal counters are atomics so parallel Opt jobs can bump them without
-   a lock; the public [counters] type is a plain snapshot. *)
+(* Search counters are atomics so parallel Opt jobs can bump them without
+   a lock; [search_profile] snapshots them into Obs.Report.search_stat. *)
 type acounters = {
   a_xform_applied : int Atomic.t;
   a_xform_results : int Atomic.t;
@@ -919,23 +908,6 @@ let run t (req : Props.req) : Expr.plan =
   Obs.Span.with_ ~name:"extract" (fun () ->
       Memolib.Extract.best_plan t.memo (Memo.root t.memo) req)
 
-let scheduler_stats t =
-  let c1, r1, g1 = Gpos.Scheduler.stats t.sched in
-  let c2, r2, g2 = Gpos.Scheduler.stats t.sched_opt in
-  (c1 + c2, r1 + r2, g1 + g2)
-
-let counters t =
-  {
-    xform_applied = Atomic.get t.counters.a_xform_applied;
-    xform_results = Atomic.get t.counters.a_xform_results;
-    alternatives_costed = Atomic.get t.counters.a_alternatives_costed;
-    contexts_created = Atomic.get t.counters.a_contexts_created;
-    prefilter_skips = Atomic.get t.counters.a_prefilter_skips;
-    winner_skips = Atomic.get t.counters.a_winner_skips;
-    base_reuses = Atomic.get t.counters.a_base_reuses;
-    stats_hits = Atomic.get t.counters.a_stats_hits;
-  }
-
 (* --- observability snapshots (lib/obs) --- *)
 
 (* Per-rule profile over the engine's rule set; rules that never fired and
@@ -967,47 +939,24 @@ let rule_profile t : Obs.Report.rule_stat list =
       })
     (Xform.Ruleset.rules t.ruleset)
 
-let sched_stat_of label (p : Gpos.Scheduler.profile) : Obs.Report.sched_stat =
-  {
-    Obs.Report.s_label = label;
-    s_workers = p.Gpos.Scheduler.p_workers;
-    s_jobs_created = p.Gpos.Scheduler.p_jobs_created;
-    s_jobs_run = p.Gpos.Scheduler.p_jobs_run;
-    s_jobs_suspended = p.Gpos.Scheduler.p_jobs_suspended;
-    s_goal_hits = p.Gpos.Scheduler.p_goal_hits;
-    s_max_queue_depth = p.Gpos.Scheduler.p_max_queue_depth;
-    s_per_worker_run = p.Gpos.Scheduler.p_per_worker_run;
-  }
-
-let sched_profiles t : Obs.Report.sched_stat list =
+let sched_profiles t =
   [
-    sched_stat_of "explore/implement" (Gpos.Scheduler.profile t.sched);
-    sched_stat_of "costing" (Gpos.Scheduler.profile t.sched_opt);
+    ("explore/implement", Gpos.Scheduler.profile t.sched);
+    ("costing", Gpos.Scheduler.profile t.sched_opt);
   ]
 
-let cost_profile t : Obs.Report.cost_stat =
+let search_profile t : Obs.Report.search_stat =
+  let c = t.counters in
   {
-    Obs.Report.c_op_costings = Atomic.get t.counters.a_op_costings;
-    c_enforcer_costings = Atomic.get t.counters.a_enf_costings;
-    c_alternatives = Atomic.get t.counters.a_alternatives_costed;
-    c_deadline_checks = Atomic.get t.counters.a_deadline_checks;
-    c_base_reuses = Atomic.get t.counters.a_base_reuses;
-    c_winner_skips = Atomic.get t.counters.a_winner_skips;
-  }
-
-(* Growth counters of the engine's Memo, for Obs.Report. *)
-let memo_profile t : Obs.Report.memo_stat =
-  let p = Memo.profile t.memo in
-  {
-    Obs.Report.m_groups = Memo.ngroups t.memo;
-    m_gexprs = Memo.ngexprs t.memo;
-    m_inserts = p.Memo.p_inserts;
-    m_dedup_hits = p.Memo.p_dedup_hits;
-    m_merges = p.Memo.p_merges;
-    m_ctx_created = p.Memo.p_ctx_created;
-    m_ctx_cache_hits = p.Memo.p_ctx_hits;
-    m_winner_updates = p.Memo.p_winner_updates;
-    m_winner_kept = p.Memo.p_winner_kept;
-    m_ops_interned = p.Memo.p_ops_interned;
-    m_intern_hits = p.Memo.p_intern_hits;
+    c_xforms = Atomic.get c.a_xform_applied;
+    c_xform_results = Atomic.get c.a_xform_results;
+    c_prefilter_skips = Atomic.get c.a_prefilter_skips;
+    c_contexts = Atomic.get c.a_contexts_created;
+    c_op_costings = Atomic.get c.a_op_costings;
+    c_enforcer_costings = Atomic.get c.a_enf_costings;
+    c_alternatives = Atomic.get c.a_alternatives_costed;
+    c_deadline_checks = Atomic.get c.a_deadline_checks;
+    c_stats_hits = Atomic.get c.a_stats_hits;
+    c_base_reuses = Atomic.get c.a_base_reuses;
+    c_winner_skips = Atomic.get c.a_winner_skips;
   }

@@ -9,17 +9,6 @@
 
 open Ir
 
-type counters = {
-  xform_applied : int;
-  xform_results : int;
-  alternatives_costed : int;
-  contexts_created : int;
-  prefilter_skips : int;  (** rule applications pruned by the shape bitmap *)
-  winner_skips : int;     (** child Opt spawns pruned: context complete *)
-  base_reuses : int;      (** base costs served from the reuse cache *)
-  stats_hits : int;       (** rows/width/skew served from the stats memo *)
-}
-
 type t
 
 exception
@@ -92,25 +81,17 @@ val optimize : t -> Props.req -> unit
 val run : t -> Props.req -> Expr.plan
 (** All four steps, then extract the best plan for the request. *)
 
-val scheduler_stats : t -> int * int * int
-(** (jobs created, job executions, goal-queue hits). *)
-
-val counters : t -> counters
-(** A consistent-enough snapshot of the atomic search counters. *)
-
-(** {2 Observability snapshots (lib/obs)} *)
+(** {2 Work-count snapshots (lib/obs, lib/telemetry)} *)
 
 val rule_profile : t -> Obs.Report.rule_stat list
 (** Per-rule firing/result/skip counts and cumulative time over the engine's
     rule set. Timings are populated only when the engine was created with
     [~obs:true]; counters of rules that never fired are zero. *)
 
-val sched_profiles : t -> Obs.Report.sched_stat list
+val sched_profiles : t -> (string * Gpos.Scheduler.profile) list
 (** Utilization of the two schedulers, labelled "explore/implement" and
     "costing". *)
 
-val cost_profile : t -> Obs.Report.cost_stat
-(** Cost-model invocation counts and deadline checks. *)
-
-val memo_profile : t -> Obs.Report.memo_stat
-(** Growth counters of the engine's Memo. *)
+val search_profile : t -> Obs.Report.search_stat
+(** A consistent-enough snapshot of the atomic search counters: rule
+    applications, contexts, cost-model invocations and cache skips. *)

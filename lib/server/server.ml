@@ -270,14 +270,15 @@ let serve_sql ?session t sql :
       variant )
   with
   | reply -> Ok reply
-  | exception Orca.Optimizer.Unsupported_query msg ->
-      let msg = "unsupported query: " ^ msg in
-      count_error t s;
-      Telemetry.Metrics.inc Telemetry.Std.serve_errors;
-      finish_request t ~trace ~ms:(Gpos.Clock.ms_since t0) (`Error msg);
-      Error msg
-  | exception (Gpos.Gpos_error.Error _ as e) ->
-      let msg = Gpos.Gpos_error.to_string e in
+  | exception e ->
+      (* Whatever a request raises — Stack_overflow included — ends as its
+         own error reply, never as the session's or the process's end. *)
+      let msg =
+        match e with
+        | Orca.Optimizer.Unsupported_query msg -> "unsupported query: " ^ msg
+        | Gpos.Gpos_error.Error _ -> Gpos.Gpos_error.to_string e
+        | e -> "Internal: " ^ Printexc.to_string e
+      in
       count_error t s;
       Telemetry.Metrics.inc Telemetry.Std.serve_errors;
       finish_request t ~trace ~ms:(Gpos.Clock.ms_since t0) (`Error msg);

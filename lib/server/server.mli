@@ -96,7 +96,8 @@ val json_of_reply : include_plan:bool -> reply -> string
 val optimize_sql : ?session:session -> t -> string -> (reply, string) result
 (** Field one SQL request through the plan cache; misses bind and optimize
     against the snapshot taken before the cache probe and insert the result.
-    Errors (parse/bind/unsupported) are returned, counted and never cached.
+    Errors (parse/bind/unsupported, and any other exception the request
+    raises, as ["Internal: ..."]) are returned, counted and never cached.
     The request is attributed to [session] (default: the sid-0 API
     pseudo-session): trace id, event-log entries, SLO observation. *)
 

@@ -400,6 +400,9 @@ and bind_select_core (t : t) (outer : scope) (core : Ast.select_core) :
                 | None -> error "GROUP BY column %s not found" name))
         | Ast.E_int n when n >= 1 && n <= List.length core.Ast.items ->
             `Expr (List.nth core.Ast.items (n - 1)).Ast.item_expr
+        | Ast.E_int n ->
+            error "GROUP BY position %d is not in the select list (1..%d)" n
+              (List.length core.Ast.items)
         | e -> `Expr e
       in
       let computed = ref [] in

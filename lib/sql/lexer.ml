@@ -64,7 +64,10 @@ let next (t : t) : Token.t =
         let frac = read_while t is_digit in
         Token.FLOAT (float_of_string (digits ^ "." ^ frac))
       end
-      else Token.INT (int_of_string digits)
+      else (
+        match int_of_string_opt digits with
+        | Some n -> Token.INT n
+        | None -> error t "integer literal %s out of range" digits)
   | Some '\'' ->
       advance t;
       let buf = Buffer.create 16 in

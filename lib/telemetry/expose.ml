@@ -1,14 +1,13 @@
 (* Exposition of metric snapshots: Prometheus text format and JSON, plus
-   a Prometheus linter (used by CI), the JSON snapshot reader and the
-   [diff] regression sentinel comparing two snapshots with per-metric
-   tolerances. JSON goes through Gpos.Json both ways. *)
+   a Prometheus linter (used by CI). JSON goes through Gpos.Json;
+   `bench/gate.exe --metrics` reads it back to compare two snapshots. *)
 
 module Json = Gpos.Json
 
 (* -- number / string formatting ------------------------------------ *)
 
 (* One deterministic float format shared by both expositions, so a
-   snapshot diffed against itself is always clean. NaN/inf never appear
+   snapshot gated against itself is always clean. NaN/inf never appear
    in valid metric values; map them to 0 to keep the output parseable. *)
 let fnum v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
@@ -441,181 +440,3 @@ let lint_prometheus text =
       | [] -> ())
     buckets;
   List.rev !problems
-
-(* -- JSON snapshot parsing ------------------------------------------ *)
-
-(* A parsed snapshot flattened for diffing: one record per series, with
-   the numeric fields that can be compared. *)
-
-type flat = {
-  f_key : string;  (* name{k="v",...}, labels sorted *)
-  f_kind : string;
-  f_fields : (string * float) list;
-}
-
-type parsed = { p_ts : float; p_metrics : flat list }
-
-let num_field o k = Option.bind (Json.member k o) Json.to_float
-
-let str_field o k =
-  match Json.member k o with Some (Json.Str v) -> Some v | _ -> None
-
-let flat_key name labels =
-  match labels with
-  | [] -> name
-  | _ ->
-      name ^ "{"
-      ^ String.concat ","
-          (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k v)
-             (List.sort compare labels))
-      ^ "}"
-
-let parse_snapshot text : (parsed, string) result =
-  match Json.of_string text with
-  | Error msg -> Error msg
-  | Ok j -> (
-      match Json.member "metrics" j with
-      | Some (Arr ms) ->
-          let ts = Option.value ~default:0.0 (num_field j "ts") in
-          let flats =
-            List.filter_map
-              (fun m ->
-                match (str_field m "name", str_field m "type") with
-                | Some name, Some kind ->
-                    let labels =
-                      match Json.member "labels" m with
-                      | Some (Obj fs) ->
-                          List.filter_map
-                            (fun (k, v) ->
-                              match v with
-                              | Json.Str s -> Some (k, s)
-                              | _ -> None)
-                            fs
-                      | _ -> []
-                    in
-                    let fields =
-                      match kind with
-                      | "histogram" ->
-                          List.filter_map
-                            (fun f ->
-                              Option.map (fun v -> (f, v)) (num_field m f))
-                            [ "count"; "sum"; "p50"; "p95"; "p99" ]
-                      | _ ->
-                          List.filter_map
-                            (fun f ->
-                              Option.map (fun v -> (f, v)) (num_field m f))
-                            [ "value" ]
-                    in
-                    Some { f_key = flat_key name labels; f_kind = kind; f_fields = fields }
-                | _ -> None)
-              ms
-          in
-          Ok { p_ts = ts; p_metrics = flats }
-      | _ -> Error "no \"metrics\" array")
-
-(* -- regression sentinel -------------------------------------------- *)
-
-type check = {
-  d_key : string;
-  d_field : string;
-  d_base : float;
-  d_fresh : float;
-  d_ok : bool;
-  d_note : string;
-}
-
-(* Relative slack with an absolute floor of 10, so near-zero baselines do
-   not turn into zero-tolerance gates. *)
-let slack tolerance base = tolerance *. Float.max (Float.abs base) 10.0
-
-(* [overrides] maps a key prefix to a tolerance; the first match wins.
-   Counter/gauge values and histogram counts are gated both ways (they
-   are shape metrics); histogram sums and quantiles are latencies and
-   gate from above only — faster is never a regression. *)
-let diff ?(tolerance = 0.25) ?(overrides = []) ~(baseline : parsed)
-    ~(fresh : parsed) () =
-  let tol_for key =
-    match
-      List.find_opt (fun (prefix, _) ->
-          String.length key >= String.length prefix
-          && String.sub key 0 (String.length prefix) = prefix)
-        overrides
-    with
-    | Some (_, t) -> t
-    | None -> tolerance
-  in
-  let checks = ref [] in
-  let push c = checks := c :: !checks in
-  List.iter
-    (fun b ->
-      match
-        List.find_opt (fun f -> f.f_key = b.f_key) fresh.p_metrics
-      with
-      | None ->
-          push
-            {
-              d_key = b.f_key;
-              d_field = "presence";
-              d_base = 1.0;
-              d_fresh = 0.0;
-              d_ok = false;
-              d_note = "metric missing from fresh snapshot";
-            }
-      | Some f ->
-          let tol = tol_for b.f_key in
-          List.iter
-            (fun (field, bv) ->
-              match List.assoc_opt field f.f_fields with
-              | None ->
-                  push
-                    {
-                      d_key = b.f_key;
-                      d_field = field;
-                      d_base = bv;
-                      d_fresh = 0.0;
-                      d_ok = false;
-                      d_note = "field missing from fresh snapshot";
-                    }
-              | Some fv ->
-                  let upper_only =
-                    field = "sum" || field = "p50" || field = "p95"
-                    || field = "p99"
-                  in
-                  let s = slack tol bv in
-                  let ok =
-                    if upper_only then fv <= bv +. s
-                    else Float.abs (fv -. bv) <= s
-                  in
-                  push
-                    {
-                      d_key = b.f_key;
-                      d_field = field;
-                      d_base = bv;
-                      d_fresh = fv;
-                      d_ok = ok;
-                      d_note =
-                        (if ok then "ok"
-                         else if upper_only then
-                           Printf.sprintf "above ceiling %s" (fnum (bv +. s))
-                         else
-                           Printf.sprintf "outside +/-%s" (fnum s));
-                    })
-            b.f_fields)
-    baseline.p_metrics;
-  List.rev !checks
-
-let diff_ok checks = List.for_all (fun c -> c.d_ok) checks
-
-let render_diff checks =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun c ->
-      if not c.d_ok then
-        Buffer.add_string buf
-          (Printf.sprintf "FAIL %-48s %-8s base=%s fresh=%s (%s)\n" c.d_key
-             c.d_field (fnum c.d_base) (fnum c.d_fresh) c.d_note))
-    checks;
-  let failed = List.length (List.filter (fun c -> not c.d_ok) checks) in
-  Buffer.add_string buf
-    (Printf.sprintf "%d checks, %d failed\n" (List.length checks) failed);
-  Buffer.contents buf

@@ -1,5 +1,5 @@
-(* Exposition: Prometheus text and JSON snapshots, a Prometheus linter,
-   a JSON snapshot parser, and the snapshot diff regression sentinel. *)
+(* Exposition: Prometheus text and JSON snapshots, and a Prometheus
+   linter. Two JSON snapshots are compared by `bench/gate.exe --metrics`. *)
 
 val to_prometheus : Metrics.snapshot -> string
 (** Prometheus text format: # HELP/# TYPE per family, cumulative sparse
@@ -15,41 +15,3 @@ val lint_prometheus : string -> string list
     name syntax, TYPE declarations preceding samples, non-negative
     counter/histogram values, duplicate series, bucket cumulativeness,
     the +Inf bucket and its agreement with _count. [] means clean. *)
-
-(* -- parsed snapshots and the diff sentinel ------------------------- *)
-
-type flat = {
-  f_key : string;  (** name{k="v",...}, labels sorted *)
-  f_kind : string;
-  f_fields : (string * float) list;
-}
-
-type parsed = { p_ts : float; p_metrics : flat list }
-
-val parse_snapshot : string -> (parsed, string) result
-(** Parse the output of [to_json] (flight entries are ignored). *)
-
-type check = {
-  d_key : string;
-  d_field : string;
-  d_base : float;
-  d_fresh : float;
-  d_ok : bool;
-  d_note : string;
-}
-
-val diff :
-  ?tolerance:float ->
-  ?overrides:(string * float) list ->
-  baseline:parsed ->
-  fresh:parsed ->
-  unit ->
-  check list
-(** Compare two snapshots. Counter/gauge values and histogram counts are
-    gated both ways within a relative tolerance (default 0.25, absolute
-    floor 10); histogram sums and quantiles gate from above only.
-    [overrides] maps a metric-key prefix to a different tolerance; a
-    metric present in baseline but missing from fresh fails. *)
-
-val diff_ok : check list -> bool
-val render_diff : check list -> string

@@ -1,14 +1,17 @@
 (* The standard Orca metric set, registered once against
    [Metrics.default]. Everything recorded here comes from counters the
-   engine/Memo/scheduler already maintain unconditionally (PR 3/4), so
-   keeping telemetry always-on costs one [record_query] call per
-   optimization — a few dozen atomic adds on the cold path.
+   engine/Memo/scheduler already maintain unconditionally, so keeping
+   telemetry always-on costs one [record_query] call per optimization — a
+   few dozen atomic adds on the cold path.
 
    Add-a-metric checklist (see DESIGN.md):
      1. register the handle here with a help string,
-     2. bump it from the owning layer (or add a field to [record_query]),
-     3. if it should be regression-gated, add it to the suite snapshot
-        tolerance table in bin/orca_cli (metrics --diff). *)
+     2. bump it from the owning layer; an optimizer work count is a field
+        of that layer's one record (Obs.Report.memo_stat or search_stat,
+        Gpos.Scheduler.profile), which [record_query] reads,
+     3. every series in a `metrics --json` snapshot is regression-gated by
+        `bench/gate.exe --metrics`; a wall-time family also goes on the
+        gate's timing list (at least 4.0 tolerance). *)
 
 let r = Metrics.default
 
@@ -137,35 +140,35 @@ let exec_operators = c "orca_exec_operators_total" "Operator instances run."
 let exec_subplan_hits = c "orca_exec_subplan_hits_total" "Subplan executions served from cache."
 let exec_sim_ms = h "orca_exec_sim_ms" "Simulated execution time per query (ms)."
 
-(* One call per optimized query, tapping the always-on engine counters. *)
-let record_query ~opt_time_ms ~groups ~gexprs ~inserts ~dedup_hits ~merges
-    ~ops_interned ~intern_hits ~fired ~results ~prefiltered ~ncontexts
-    ~nop_costings ~nenforcer_costings ~nalternatives ~ndeadline_checks
-    ~nstats_hits ~nbase_reuses ~nwinner_skips ~ngoal_hits ~njobs_created
-    ~njobs_run ~max_queue_depth ~heap_mb ~phases =
+(* One call per optimized query, handed the records the winning stage's
+   Memo, engine and schedulers (both, folded by [Obs.Report.sched_total])
+   already keep. *)
+let record_query ~opt_time_ms ~(memo : Obs.Report.memo_stat)
+    ~(search : Obs.Report.search_stat) ~(sched : Gpos.Scheduler.profile)
+    ~heap_mb ~phases =
   Metrics.inc queries;
   Metrics.observe opt_ms opt_time_ms;
-  Metrics.add memo_groups groups;
-  Metrics.add memo_gexprs gexprs;
-  Metrics.add memo_inserts inserts;
-  Metrics.add memo_dedup_hits dedup_hits;
-  Metrics.add memo_merges merges;
-  Metrics.add memo_ops_interned ops_interned;
-  Metrics.add memo_intern_hits intern_hits;
-  Metrics.add rule_fired fired;
-  Metrics.add rule_results results;
-  Metrics.add rule_prefiltered prefiltered;
-  Metrics.add contexts ncontexts;
-  Metrics.add op_costings nop_costings;
-  Metrics.add enforcer_costings nenforcer_costings;
-  Metrics.add alternatives nalternatives;
-  Metrics.add deadline_checks ndeadline_checks;
-  Metrics.add stats_memo_hits nstats_hits;
-  Metrics.add base_reuses nbase_reuses;
-  Metrics.add winner_skips nwinner_skips;
-  Metrics.add goal_hits ngoal_hits;
-  Metrics.add jobs_created njobs_created;
-  Metrics.add jobs_run njobs_run;
-  Metrics.gauge_max queue_depth_max (float_of_int max_queue_depth);
+  Metrics.add memo_groups memo.m_groups;
+  Metrics.add memo_gexprs memo.m_gexprs;
+  Metrics.add memo_inserts memo.m_inserts;
+  Metrics.add memo_dedup_hits memo.m_dedup_hits;
+  Metrics.add memo_merges memo.m_merges;
+  Metrics.add memo_ops_interned memo.m_ops_interned;
+  Metrics.add memo_intern_hits memo.m_intern_hits;
+  Metrics.add rule_fired search.c_xforms;
+  Metrics.add rule_results search.c_xform_results;
+  Metrics.add rule_prefiltered search.c_prefilter_skips;
+  Metrics.add contexts search.c_contexts;
+  Metrics.add op_costings search.c_op_costings;
+  Metrics.add enforcer_costings search.c_enforcer_costings;
+  Metrics.add alternatives search.c_alternatives;
+  Metrics.add deadline_checks search.c_deadline_checks;
+  Metrics.add stats_memo_hits search.c_stats_hits;
+  Metrics.add base_reuses search.c_base_reuses;
+  Metrics.add winner_skips search.c_winner_skips;
+  Metrics.add goal_hits sched.p_goal_hits;
+  Metrics.add jobs_created sched.p_jobs_created;
+  Metrics.add jobs_run sched.p_jobs_run;
+  Metrics.gauge_max queue_depth_max (float_of_int sched.p_max_queue_depth);
   Metrics.gauge_max peak_heap_mb heap_mb;
   List.iter (fun (name, ms) -> observe_phase name ms) phases

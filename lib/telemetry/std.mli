@@ -71,28 +71,12 @@ val exec_sim_ms : Metrics.histogram
 
 val record_query :
   opt_time_ms:float ->
-  groups:int ->
-  gexprs:int ->
-  inserts:int ->
-  dedup_hits:int ->
-  merges:int ->
-  ops_interned:int ->
-  intern_hits:int ->
-  fired:int ->
-  results:int ->
-  prefiltered:int ->
-  ncontexts:int ->
-  nop_costings:int ->
-  nenforcer_costings:int ->
-  nalternatives:int ->
-  ndeadline_checks:int ->
-  nstats_hits:int ->
-  nbase_reuses:int ->
-  nwinner_skips:int ->
-  ngoal_hits:int ->
-  njobs_created:int ->
-  njobs_run:int ->
-  max_queue_depth:int ->
+  memo:Obs.Report.memo_stat ->
+  search:Obs.Report.search_stat ->
+  sched:Gpos.Scheduler.profile ->
   heap_mb:float ->
   phases:(string * float) list ->
   unit
+(** Add one optimized query's work counts — the winning stage's Memo and
+    engine records and its schedulers' folded profile — plus its wall
+    times and heap footprint to the standard series. *)

@@ -97,8 +97,8 @@ let test_scheduler_goal_dedup () =
   in
   Gpos.Scheduler.run sched root;
   Alcotest.(check int) "goal ran once" 1 !expensive_runs;
-  let _, _, goal_hits = Gpos.Scheduler.stats sched in
-  Alcotest.(check int) "nine absorbed" 9 goal_hits
+  Alcotest.(check int) "nine absorbed" 9
+    (Gpos.Scheduler.profile sched).Gpos.Scheduler.p_goal_hits
 
 let test_scheduler_exception () =
   let sched = Gpos.Scheduler.create () in
@@ -163,8 +163,8 @@ let test_goal_already_finished () =
   in
   Gpos.Scheduler.run sched root;
   Alcotest.(check int) "work ran once" 1 !runs;
-  let _, _, goal_hits = Gpos.Scheduler.stats sched in
-  Alcotest.(check int) "second child absorbed" 1 goal_hits
+  Alcotest.(check int) "second child absorbed" 1
+    (Gpos.Scheduler.profile sched).Gpos.Scheduler.p_goal_hits
 
 let test_nested_same_goal () =
   (* a job holding a goal spawns a child with the same goal: parking the

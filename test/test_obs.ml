@@ -137,7 +137,7 @@ let test_rule_counters_consistent () =
     "sum(rule fired) = report.xforms" report.Orca.Optimizer.xforms fired;
   let jobs_created =
     List.fold_left
-      (fun a s -> a + s.Obs.Report.s_jobs_created)
+      (fun a (_, s) -> a + s.Gpos.Scheduler.p_jobs_created)
       0 obs.Obs.Report.scheds
   in
   Alcotest.(check int)
@@ -145,7 +145,7 @@ let test_rule_counters_consistent () =
     jobs_created;
   let jobs_run =
     List.fold_left
-      (fun a s -> a + s.Obs.Report.s_jobs_run)
+      (fun a (_, s) -> a + s.Gpos.Scheduler.p_jobs_run)
       0 obs.Obs.Report.scheds
   in
   Alcotest.(check int)
@@ -159,7 +159,7 @@ let test_rule_counters_consistent () =
     && obs.Obs.Report.memo.Obs.Report.m_gexprs = report.Orca.Optimizer.gexprs);
   Alcotest.(check bool)
     "cost model invoked" true
-    (obs.Obs.Report.cost.Obs.Report.c_op_costings > 0);
+    (obs.Obs.Report.search.Obs.Report.c_op_costings > 0);
   (* rendering shows the totals row and the memo line *)
   let s = Obs.Report.to_string obs in
   Alcotest.(check bool) "render has rules" true

@@ -315,6 +315,54 @@ let test_protocol_session () =
   Unix.close req_r;
   Unix.close resp_r
 
+(* An integer literal past max_int is a parse error reply, not the end of
+   the process; both errors count in !stats. Any other exception is an
+   Internal error reply. *)
+let test_protocol_bad_literals () =
+  let server = new_server () in
+  let req_r, req_w = Unix.pipe () and resp_r, resp_w = Unix.pipe () in
+  let oc = Unix.out_channel_of_descr req_w in
+  output_string oc "SELECT a FROM t1 WHERE a = 99999999999999999999999999\n";
+  output_string oc "SELECT a FROM t1 LIMIT 99999999999999999999999\n";
+  output_string oc "!ping\n";
+  output_string oc "!stats\n";
+  close_out oc;
+  let ic = Unix.in_channel_of_descr req_r in
+  let soc = Unix.out_channel_of_descr resp_w in
+  Sv.serve_channels server ic soc;
+  close_out soc;
+  let has sub s =
+    let n = String.length sub and m = String.length s in
+    let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  (match read_all_lines resp_r with
+  | [ where; limit; pong; stats ] ->
+      List.iter
+        (fun reply ->
+          Alcotest.(check bool) "parse error reply" true
+            (has {|"ok":false|} reply && has "ParseError" reply))
+        [ where; limit ];
+      Alcotest.(check string) "still serving" {|{"ok":true,"pong":true}|} pong;
+      Alcotest.(check bool) "both counted as errors" true
+        (has {|"errors":2,|} stats)
+  | lines -> Alcotest.failf "expected 4 response lines, got %d" (List.length lines));
+  Unix.close req_r;
+  Unix.close resp_r;
+  (* any other exception a request raises (here the scheduler rejecting
+     zero workers) is an Internal error reply, counted like the rest *)
+  let broken =
+    Sv.of_provider
+      ~config:(Orca.Orca_config.with_workers (Lazy.force Fixtures.orca_config) 0)
+      (Lazy.force Fixtures.small).Fixtures.provider
+  in
+  (match Sv.optimize_sql broken sql_base with
+  | Error msg ->
+      Alcotest.(check bool) "internal error reply" true
+        (String.starts_with ~prefix:"Internal: " msg)
+  | Ok _ -> Alcotest.fail "zero workers must fail");
+  Alcotest.(check int) "counted" 1 (Sv.stats broken).Sv.s_errors
+
 (* --- concurrency --- *)
 
 let test_concurrent_sessions () =
@@ -960,6 +1008,8 @@ let suite =
     Alcotest.test_case "relstats version algebra" `Quick
       test_relstats_version_ops;
     Alcotest.test_case "line-protocol session" `Quick test_protocol_session;
+    Alcotest.test_case "out-of-range literals are error replies" `Quick
+      test_protocol_bad_literals;
     Alcotest.test_case "concurrent sessions share the cache" `Quick
       test_concurrent_sessions;
     Alcotest.test_case "unix-socket listener serves concurrent clients" `Quick

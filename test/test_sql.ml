@@ -130,6 +130,19 @@ let test_bind_ambiguous_alias () =
        false
      with Gpos.Gpos_error.Error (Gpos.Gpos_error.Bind_error, _) -> true)
 
+let test_bind_group_by_position () =
+  let q = bind "SELECT b, count(*) AS c FROM t1 GROUP BY 1" in
+  Alcotest.(check int) "in-range position binds" 2
+    (List.length q.Dxl.Dxl_query.output);
+  List.iter
+    (fun sql ->
+      Alcotest.(check bool) sql true
+        (try
+           ignore (bind sql);
+           false
+         with Gpos.Gpos_error.Error (Gpos.Gpos_error.Bind_error, _) -> true))
+    [ "SELECT a FROM t1 GROUP BY 99"; "SELECT a FROM t1 GROUP BY 0" ]
+
 let test_bind_avg_rewrite () =
   let q = bind "SELECT avg(a) AS m FROM t1" in
   (* AVG decomposes into SUM/COUNT at bind time *)
@@ -431,6 +444,8 @@ let suite =
     Alcotest.test_case "bind star" `Quick test_bind_star_expansion;
     Alcotest.test_case "bind self join" `Quick test_bind_self_join_aliases;
     Alcotest.test_case "bind errors" `Quick test_bind_ambiguous_alias;
+    Alcotest.test_case "GROUP BY position out of range" `Quick
+      test_bind_group_by_position;
     Alcotest.test_case "bind avg rewrite" `Quick test_bind_avg_rewrite;
     Alcotest.test_case "bind agg in where" `Quick test_bind_group_by_validation;
     Alcotest.test_case "bind exists under or" `Quick test_bind_exists_under_or_rejected;

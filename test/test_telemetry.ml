@@ -1,6 +1,6 @@
 (* lib/telemetry: histogram algebra (qcheck), counter saturation, the
    Prometheus/JSON expositions (golden-filed under the deterministic
-   clock), the linter, the snapshot-diff regression sentinel, and the
+   clock), the linter, and the
    end-to-end flight recorder (slow-query trigger -> ring entry + AMPERe
    dump embedding the obs trace). *)
 
@@ -223,40 +223,6 @@ let test_lint_catches_errors () =
   Alcotest.(check bool) "missing trailing newline" true
     (problems "# TYPE a counter\na 1" <> [])
 
-(* --- the diff sentinel --- *)
-
-let snap_of_registry reg = E.to_json (M.snapshot reg)
-
-let test_diff_sentinel () =
-  let mk v =
-    let reg = M.create () in
-    let c = M.counter reg ~help:"t" "t_total" in
-    M.add c v;
-    reg
-  in
-  let parse s =
-    match E.parse_snapshot s with
-    | Ok p -> p
-    | Error m -> Alcotest.fail ("parse: " ^ m)
-  in
-  (* within the absolute floor of 10: 100 vs 105 passes at tolerance 0.25 *)
-  let b = parse (snap_of_registry (mk 100)) in
-  let f = parse (snap_of_registry (mk 105)) in
-  Alcotest.(check bool) "within tolerance" true (E.diff_ok (E.diff ~baseline:b ~fresh:f ()));
-  (* way out: 100 vs 1000 fails *)
-  let f2 = parse (snap_of_registry (mk 1000)) in
-  let checks = E.diff ~baseline:b ~fresh:f2 () in
-  Alcotest.(check bool) "regression detected" false (E.diff_ok checks);
-  Alcotest.(check bool) "rendered as FAIL" true
-    (contains ~affix:"FAIL t_total" (E.render_diff checks));
-  (* a per-key override loosens it *)
-  Alcotest.(check bool) "override widens tolerance" true
-    (E.diff_ok (E.diff ~overrides:[ ("t_total", 10.0) ] ~baseline:b ~fresh:f2 ()));
-  (* metric missing from the fresh snapshot fails *)
-  let empty = parse (snap_of_registry (M.create ())) in
-  Alcotest.(check bool) "missing metric fails" false
-    (E.diff_ok (E.diff ~baseline:b ~fresh:empty ()))
-
 (* --- the recorder ring --- *)
 
 let test_recorder_ring () =
@@ -424,7 +390,6 @@ let suite =
       test_prometheus_golden_and_lint;
     Alcotest.test_case "lint catches seeded errors" `Quick
       test_lint_catches_errors;
-    Alcotest.test_case "diff sentinel" `Quick test_diff_sentinel;
     Alcotest.test_case "recorder ring" `Quick test_recorder_ring;
     Alcotest.test_case "flight recorder slow trigger" `Quick
       test_flight_slow_trigger;

@@ -920,13 +920,7 @@ let serve_bench () =
   (* measured phase: fixed seed, so the hit/rebind/miss counts are
      deterministic across machines and gated as shape metrics *)
   let st = Random.State.make [| 0x09ca; nshapes |] in
-  let lat_reg = Telemetry.Metrics.create () in
-  let lat_hist =
-    Telemetry.Metrics.histogram lat_reg
-      ~help:"serve request latency (ms)" "bench_serve_ms"
-  in
-  let hits = ref 0 and rebinds = ref 0 and misses = ref 0 in
-  let errors = ref 0 in
+  let before = Server.stats server in
   let audits = ref 0 and violations = ref [] in
   let max_audits = 25 in
   let n_req = !serve_requests in
@@ -940,45 +934,43 @@ let serve_bench () =
       else match perturb_int sql with Some s -> s | None -> sql
     in
     match Server.optimize_sql server text with
-    | Error _ -> incr errors
-    | Ok r -> (
-        Telemetry.Metrics.observe lat_hist r.Server.r_ms;
-        match r.Server.r_result with
-        | Server.Hit ->
-            incr hits;
-            (* byte-identity: a cache hit must serialize exactly like a
-               fresh, cache-free optimization of the same request text *)
-            if !audits < max_audits && i mod 37 = 0 then begin
-              incr audits;
-              let cold =
-                Dxl.Dxl_plan.to_string (optimize_orca e text).Orca.Optimizer.plan
-              in
-              if Lazy.force r.Server.r_dxl <> cold then
-                violations :=
-                  Printf.sprintf "q%d: hit plan differs from cold optimization"
-                    qid
-                  :: !violations
-            end
-        | Server.Rebound -> incr rebinds
-        | Server.Missed -> incr misses)
+    | Ok ({ Server.r_result = Server.Hit; _ } as r) ->
+        (* byte-identity: a cache hit must serialize exactly like a
+           fresh, cache-free optimization of the same request text *)
+        if !audits < max_audits && i mod 37 = 0 then begin
+          incr audits;
+          let cold =
+            Dxl.Dxl_plan.to_string (optimize_orca e text).Orca.Optimizer.plan
+          in
+          if Lazy.force r.Server.r_dxl <> cold then
+            violations :=
+              Printf.sprintf "q%d: hit plan differs from cold optimization" qid
+              :: !violations
+        end
+    | Ok _ | Error _ -> ()
   done;
   let wall_ms = Gpos.Clock.ms_since t0 in
-  let s = Server.stats server in
-  let c = s.Server.s_cache in
-  let answered = !hits + !rebinds in
-  let hit_rate = float_of_int answered /. float_of_int (max 1 n_req) in
+  (* the measured loop's outcomes are the server's own counts across it;
+     its latency is the SLO window, reset after warm-up *)
+  let after = Server.stats server in
+  let c = after.Server.s_cache and c0 = before.Server.s_cache in
+  let hits = c.Server.Plan_cache.hits - c0.Server.Plan_cache.hits in
+  let rebinds = c.Server.Plan_cache.rebinds - c0.Server.Plan_cache.rebinds in
+  let misses = c.Server.Plan_cache.misses - c0.Server.Plan_cache.misses in
+  let errors = after.Server.s_errors - before.Server.s_errors in
+  let hit_rate = float_of_int (hits + rebinds) /. float_of_int (max 1 n_req) in
   let qps = float_of_int n_req /. Float.max 1e-9 (wall_ms /. 1000.0) in
-  let lat = Telemetry.Metrics.hsnap lat_hist in
-  let p50 = Telemetry.Metrics.quantile lat 0.50 in
-  let p95 = Telemetry.Metrics.quantile lat 0.95 in
-  let p99 = Telemetry.Metrics.quantile lat 0.99 in
+  let slo_report = Sre.Slo.report (Server.slo server) in
+  let p50 = slo_report.Sre.Slo.r_p50_ms in
+  let p95 = slo_report.Sre.Slo.r_p95_ms in
+  let p99 = slo_report.Sre.Slo.r_p99_ms in
   Printf.printf
     "requests : %d over %d shapes in %.1f ms (%.0f requests/s)\n" n_req nshapes
     wall_ms qps;
   Printf.printf
     "cache    : %d hits, %d rebinds, %d misses (hit rate %.1f%%), %d \
      evictions, %d collisions\n"
-    !hits !rebinds !misses (100.0 *. hit_rate) c.Server.Plan_cache.evictions
+    hits rebinds misses (100.0 *. hit_rate) c.Server.Plan_cache.evictions
     c.Server.Plan_cache.collisions;
   Printf.printf "latency  : p50=%.2f p95=%.2f p99=%.2f ms\n" p50 p95 p99;
   (match !violations with
@@ -989,7 +981,6 @@ let serve_bench () =
   | ms ->
       Printf.printf "IDENTITY VIOLATIONS:\n";
       List.iter (Printf.printf "  %s\n") (List.rev ms));
-  let slo_report = Sre.Slo.report (Server.slo server) in
   Printf.printf
     "slo      : availability=%.4f attainment=%.4f latency_burn=%.3f \
      availability_burn=%.3f (%s)\n"
@@ -1020,7 +1011,7 @@ let serve_bench () =
          \"identity_violations\":%d,\"hit_rate\":%.4f,\"qps\":%.2f,\
          \"p50_ms\":%.4f,\"p95_ms\":%.4f,\"p99_ms\":%.4f,\
          \"wall_ms\":%.3f,\n"
-        n_req nshapes !errors !hits !rebinds !misses
+        n_req nshapes errors hits rebinds misses
         c.Server.Plan_cache.evictions c.Server.Plan_cache.collisions !audits
         (List.length !violations)
         hit_rate qps p50 p95 p99 wall_ms;

@@ -660,6 +660,18 @@ let profile_cmd suite trace top check env sql =
 
 (* --- always-on telemetry (lib/telemetry) --- *)
 
+(* --slow-ms and --flight-dir: arm the flight recorder's slow trigger and
+   its dump directory (created if missing). *)
+let arm_flight_recorder slow_ms flight_dir =
+  Option.iter
+    (fun v -> Telemetry.Recorder.configure ~slow_ms:(Some v) ())
+    slow_ms;
+  Option.iter
+    (fun d ->
+      if not (Sys.file_exists d) then Sys.mkdir d 0o755;
+      Telemetry.Recorder.configure ~dump_dir:(Some d) ())
+    flight_dir
+
 (* Expose the always-on registry: optionally drive one query or the whole
    suite through the flight recorder first, then emit Prometheus text or a
    JSON snapshot and/or lint the exposition (`bench/gate.exe --metrics`
@@ -667,14 +679,7 @@ let profile_cmd suite trace top check env sql =
    stdout stays a valid exposition. *)
 let metrics_cmd suite as_json lint out slow_ms flight_dir
     (env : env Lazy.t) sql =
-  (match slow_ms with
-  | Some v -> Telemetry.Recorder.configure ~slow_ms:(Some v) ()
-  | None -> ());
-  (match flight_dir with
-  | Some d ->
-      if not (Sys.file_exists d) then Sys.mkdir d 0o755;
-      Telemetry.Recorder.configure ~dump_dir:(Some d) ()
-  | None -> ());
+  arm_flight_recorder slow_ms flight_dir;
   (match (suite, sql) with
   | true, _ ->
       let env = Lazy.force env in
@@ -748,14 +753,7 @@ let serve_cmd socket capacity max_variants sessions plan client slow_ms
         prerr_endline "serve: --client requires --socket PATH";
         exit 2)
   else begin
-    (match slow_ms with
-    | Some v -> Telemetry.Recorder.configure ~slow_ms:(Some v) ()
-    | None -> ());
-    (match flight_dir with
-    | Some d ->
-        if not (Sys.file_exists d) then Sys.mkdir d 0o755;
-        Telemetry.Recorder.configure ~dump_dir:(Some d) ()
-    | None -> ());
+    arm_flight_recorder slow_ms flight_dir;
     let env = Lazy.force env in
     let config = base_config env in
     let source = Catalog.Source.create env.provider in

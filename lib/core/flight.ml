@@ -62,14 +62,6 @@ let recapture ~(config : Orca_config.t) ~make_accessor ~reason ~seq query =
         Some path
       with _ -> None)
 
-let record_entry ?seq ~label ~fingerprint ~ms ~groups ~gexprs ~cost ~phases
-    ~status ~dump () =
-  ignore
-    (Telemetry.Recorder.record ?seq ~label ~fingerprint ~ms ~groups ~gexprs
-       ~cost
-       ~phases:(Telemetry.Recorder.top_phases phases)
-       ~status ?dump ())
-
 (* Monitored optimize: behaves exactly like [Optimizer.optimize] (same
    result, same exceptions) with the flight recorder around it. *)
 let optimize ?(config = Orca_config.default) ?(label = "query") ?fingerprint
@@ -96,12 +88,14 @@ let optimize ?(config = Orca_config.default) ?(label = "query") ?fingerprint
         end
         else (None, None)
       in
-      record_entry ?seq ~label ~fingerprint ~ms
-        ~groups:report.Optimizer.groups ~gexprs:report.Optimizer.gexprs
-        ~cost:report.Optimizer.plan.Ir.Expr.pcost
-        ~phases:report.Optimizer.phase_ms
-        ~status:(if slow then Telemetry.Recorder.Slow else Telemetry.Recorder.Ok)
-        ~dump ();
+      ignore
+        (Telemetry.Recorder.record ?seq ~label ~fingerprint ~ms
+           ~groups:report.Optimizer.groups ~gexprs:report.Optimizer.gexprs
+           ~cost:report.Optimizer.plan.Ir.Expr.pcost
+           ~phases:(Telemetry.Recorder.top_phases report.Optimizer.phase_ms)
+           ~status:
+             (if slow then Telemetry.Recorder.Slow else Telemetry.Recorder.Ok)
+           ?dump ());
       report
   | exception Optimizer.Unsupported_query msg ->
       (* a clean reject, not an anomaly: count it, no dump *)
@@ -114,8 +108,9 @@ let optimize ?(config = Orca_config.default) ?(label = "query") ?fingerprint
       let dump =
         recapture ~config ~make_accessor ~reason:"failed" ~seq query
       in
-      record_entry ~seq ~label ~fingerprint ~ms:0.0 ~groups:0 ~gexprs:0
-        ~cost:0.0 ~phases:[]
-        ~status:(Telemetry.Recorder.Failed (Printexc.to_string e))
-        ~dump ();
+      ignore
+        (Telemetry.Recorder.record ~seq ~label ~fingerprint ~ms:0.0 ~groups:0
+           ~gexprs:0 ~cost:0.0 ~phases:[]
+           ~status:(Telemetry.Recorder.Failed (Printexc.to_string e))
+           ?dump ());
       raise e

@@ -384,12 +384,3 @@ let run t root =
       Mutex.unlock t.mutex;
       Printexc.raise_with_backtrace e bt
   | None -> ()
-
-(* Convenience: run a one-shot computation structured as jobs and return its
-   result through a ref cell. *)
-let run_root t f =
-  let result = ref None in
-  run t (fun () ->
-      f (fun v -> result := Some v);
-      Finished);
-  !result

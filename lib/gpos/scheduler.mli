@@ -44,10 +44,6 @@ val preempt : unit -> unit
     calls it before every job, and a walk that stands in for jobs calls it
     where a job would start. Costs a clock read when nobody waits. *)
 
-val run_root : t -> (('a -> unit) -> unit) -> 'a option
-(** [run_root t f] runs [f store] as the root job; [store] saves the result
-    returned once the job graph drains. *)
-
 type profile = {
   p_workers : int;
   p_jobs_created : int;

@@ -13,8 +13,8 @@
    the flight-recorder entry label. Misses run through {!Orca.Flight}, so
    arming [Telemetry.Recorder.configure ~slow_ms ~dump_dir] turns slow or
    failing server requests into replayable AMPERe dumps. A rolling-window
-   {!Sre.Slo} monitor accumulates latency/availability objectives behind
-   the [!slo] endpoint.
+   {!Sre.Slo} monitor is the server's one latency histogram: it backs the
+   [!slo] endpoint and the [!stats] quantiles.
 
    Front end: a newline-delimited request/response protocol, served either
    over stdin/stdout ([serve_channels]) or a Unix-domain socket with one
@@ -30,48 +30,45 @@ module Normalize = Normalize
 module Plan_cache = Plan_cache
 
 (* One protocol session (or the shared sid-0 pseudo-session of direct API
-   callers). The counters are guarded by the server lock; the request-id
-   allocator is its own atomic (the API session is hit concurrently). *)
+   callers). Its counts are the server's lifetime request accounting:
+   atomics, so the request path takes no server lock (the API session is
+   hit concurrently). A request's trace id is ["s<sid>-r<rid>"]. *)
 type session = {
   s_sid : int;
-  s_trace : Sre.Trace.session;
-  mutable s_count : int;  (* requests fielded, server lock *)
-  mutable s_errs : int;
+  s_next_rid : int Atomic.t;
+  s_count : int Atomic.t;  (* requests fielded *)
+  s_errs : int Atomic.t;
   mutable s_live : bool;  (* open protocol connection *)
 }
+
+let make_session sid ~live =
+  {
+    s_sid = sid;
+    s_next_rid = Atomic.make 1;
+    s_count = Atomic.make 0;
+    s_errs = Atomic.make 0;
+    s_live = live;
+  }
 
 type t = {
   source : Catalog.Source.t;
   md_cache : Catalog.Md_cache.t;
   cache : Plan_cache.t;
   config : Orca.Orca_config.t;
-  lock : Mutex.t; (* requests/errors counters, session registry *)
-  mutable requests : int;
-  mutable errors : int;
+  lock : Mutex.t; (* session registry, last_md_change *)
   started : float;
   mutable last_md_change : float; (* !health snapshot age; server lock *)
-  tgen : Sre.Trace.gen;
   api : session;
-  mutable sessions : session list; (* registration order, newest first *)
+  mutable sessions : session list;
+      (* every session ever opened, newest first, ending with the API's
+         sid 0: the head holds the highest sid *)
   events : Sre.Events.t;
-  slo : Sre.Slo.t;
-  lat_ms : Telemetry.Metrics.histogram;
-      (* this server's lifetime request latency (private registry: the
-         process-global orca_serve_ms would mix servers in tests) *)
+  slo : Sre.Slo.t; (* the server's one latency histogram *)
 }
 
 let create ?(config = Orca.Orca_config.default) ?capacity ?max_variants
-    ?(events = Sre.Events.create ()) ?slo_objectives source =
-  let tgen = Sre.Trace.make_gen () in
-  let api =
-    {
-      s_sid = 0;
-      s_trace = Sre.Trace.api_session tgen;
-      s_count = 0;
-      s_errs = 0;
-      s_live = false;
-    }
-  in
+    ?(events = Sre.Events.create ()) source =
+  let api = make_session 0 ~live:false in
   let cache = Plan_cache.create ?capacity ?max_variants () in
   let now = Gpos.Clock.now () in
   let t =
@@ -81,19 +78,12 @@ let create ?(config = Orca.Orca_config.default) ?capacity ?max_variants
       cache;
       config;
       lock = Mutex.create ();
-      requests = 0;
-      errors = 0;
       started = now;
       last_md_change = now;
-      tgen;
       api;
       sessions = [ api ];
       events;
-      slo = Sre.Slo.create ?objectives:slo_objectives ();
-      lat_ms =
-        Telemetry.Metrics.histogram
-          (Telemetry.Metrics.create ())
-          ~help:"per-server request latency (ms)" "orca_server_request_ms";
+      slo = Sre.Slo.create ();
     }
   in
   Plan_cache.set_on_evict cache
@@ -104,9 +94,8 @@ let create ?(config = Orca.Orca_config.default) ?capacity ?max_variants
              [ ("fingerprint", Sre.Events.S fp) ]));
   t
 
-let of_provider ?config ?capacity ?max_variants ?events ?slo_objectives
-    provider =
-  create ?config ?capacity ?max_variants ?events ?slo_objectives
+let of_provider ?config ?capacity ?max_variants ?events provider =
+  create ?config ?capacity ?max_variants ?events
     (Catalog.Source.create provider)
 
 let source t = t.source
@@ -120,17 +109,8 @@ let uptime_s t = Gpos.Clock.now () -. t.started
 let session_id s = s.s_sid
 
 let open_session t =
-  let trace = Sre.Trace.open_session t.tgen in
-  let s =
-    {
-      s_sid = trace.Sre.Trace.sid;
-      s_trace = trace;
-      s_count = 0;
-      s_errs = 0;
-      s_live = true;
-    }
-  in
   Mutex.lock t.lock;
+  let s = make_session ((List.hd t.sessions).s_sid + 1) ~live:true in
   t.sessions <- s :: t.sessions;
   Mutex.unlock t.lock;
   Telemetry.Metrics.inc Telemetry.Std.serve_sessions;
@@ -146,8 +126,8 @@ let close_session t s =
       Sre.Events.emit t.events ~kind:"session_close"
         [
           ("session", Sre.Events.I s.s_sid);
-          ("requests", Sre.Events.I s.s_count);
-          ("errors", Sre.Events.I s.s_errs);
+          ("requests", Sre.Events.I (Atomic.get s.s_count));
+          ("errors", Sre.Events.I (Atomic.get s.s_errs));
         ]
   end
 
@@ -169,28 +149,21 @@ type reply = {
   r_stats_version : int;
 }
 
-let count_request t s =
-  Mutex.lock t.lock;
-  t.requests <- t.requests + 1;
-  s.s_count <- s.s_count + 1;
-  Mutex.unlock t.lock
-
-let count_error t s =
-  Mutex.lock t.lock;
-  t.errors <- t.errors + 1;
-  s.s_errs <- s.s_errs + 1;
-  Mutex.unlock t.lock
-
-(* The terminal accounting every request reaches exactly once: latency into
-   the SLO window and the lifetime histogram, plus the request_finish /
-   request_error event. The event-log invariant the concurrency test leans
-   on — terminal events sum to s_requests — hangs on this being the single
-   exit path. *)
-let finish_request t ~trace ~ms outcome =
+(* The one accounting site: every request reaches it exactly once, and
+   nothing else counts or times a request. It bumps the session's counts
+   and the process-wide orca_serve_* series, observes the latency into the
+   SLO window and emits the request_finish / request_error event — so the
+   session counts, the window and the terminal events agree. *)
+let finish_request t s ~trace ~ms outcome =
+  let ok = match outcome with `Ok _ -> true | `Error _ -> false in
+  Atomic.incr s.s_count;
+  Telemetry.Metrics.inc Telemetry.Std.serve_requests;
+  if not ok then begin
+    Atomic.incr s.s_errs;
+    Telemetry.Metrics.inc Telemetry.Std.serve_errors
+  end;
   Telemetry.Metrics.observe Telemetry.Std.serve_ms ms;
-  Telemetry.Metrics.observe t.lat_ms ms;
-  Sre.Slo.observe t.slo ~ms
-    ~ok:(match outcome with `Ok _ -> true | `Error _ -> false);
+  Sre.Slo.observe t.slo ~ms ~ok;
   if Sre.Events.on t.events Sre.Events.Info then
     match outcome with
     | `Ok (result, cost) ->
@@ -215,9 +188,9 @@ let serve_sql ?session t sql :
     (reply * Plan_cache.variant option, string) result =
   let s = match session with Some s -> s | None -> t.api in
   let t0 = Gpos.Clock.now () in
-  count_request t s;
-  Telemetry.Metrics.inc Telemetry.Std.serve_requests;
-  let trace = Sre.Trace.next s.s_trace in
+  let trace =
+    Printf.sprintf "s%d-r%d" s.s_sid (Atomic.fetch_and_add s.s_next_rid 1)
+  in
   match
     let n = Normalize.normalize sql in
     if Sre.Events.on t.events Sre.Events.Debug then
@@ -256,7 +229,7 @@ let serve_sql ?session t sql :
           (report.Orca.Optimizer.plan, Missed, None)
     in
     let ms = Gpos.Clock.ms_since t0 in
-    finish_request t ~trace ~ms (`Ok (result, plan.Ir.Expr.pcost));
+    finish_request t s ~trace ~ms (`Ok (result, plan.Ir.Expr.pcost));
     ( {
         r_plan = plan;
         r_dxl = lazy (Dxl.Dxl_plan.to_string plan);
@@ -279,9 +252,7 @@ let serve_sql ?session t sql :
         | Gpos.Gpos_error.Error _ -> Gpos.Gpos_error.to_string e
         | e -> "Internal: " ^ Printexc.to_string e
       in
-      count_error t s;
-      Telemetry.Metrics.inc Telemetry.Std.serve_errors;
-      finish_request t ~trace ~ms:(Gpos.Clock.ms_since t0) (`Error msg);
+      finish_request t s ~trace ~ms:(Gpos.Clock.ms_since t0) (`Error msg);
       Error msg
 
 let optimize_sql ?session t sql = Result.map fst (serve_sql ?session t sql)
@@ -325,26 +296,30 @@ type stats = {
 
 let stats t =
   Mutex.lock t.lock;
-  let requests = t.requests and errors = t.errors in
-  let per_session =
-    List.rev_map (fun s -> (s.s_sid, s.s_count, s.s_errs)) t.sessions
-  in
-  let live = List.length (List.filter (fun s -> s.s_live) t.sessions) in
-  let total = List.length t.sessions in
+  let sessions = t.sessions in
   Mutex.unlock t.lock;
-  let lat = Telemetry.Metrics.hsnap t.lat_ms in
+  let per_session =
+    List.rev_map
+      (fun s ->
+        (* errors before requests: finish_request bumps them in the other
+           order, so a racing read never shows more errors than requests *)
+        let errs = Atomic.get s.s_errs in
+        (s.s_sid, Atomic.get s.s_count, errs))
+      sessions
+  in
+  let sum f = List.fold_left (fun acc row -> acc + f row) 0 per_session in
+  let slo = Sre.Slo.report t.slo in
   {
-    s_requests = requests;
-    s_errors = errors;
+    s_requests = sum (fun (_, r, _) -> r);
+    s_errors = sum (fun (_, _, e) -> e);
     s_cache = Plan_cache.stats t.cache;
     s_uptime_s = uptime_s t;
-    s_sessions_open = live;
-    s_sessions_total = total;
-    s_per_session =
-      List.sort (fun (a, _, _) (b, _, _) -> compare a b) per_session;
-    s_p50_ms = Telemetry.Metrics.quantile lat 0.50;
-    s_p95_ms = Telemetry.Metrics.quantile lat 0.95;
-    s_p99_ms = Telemetry.Metrics.quantile lat 0.99;
+    s_sessions_open = List.length (List.filter (fun s -> s.s_live) sessions);
+    s_sessions_total = List.length sessions;
+    s_per_session = per_session;
+    s_p50_ms = slo.Sre.Slo.r_p50_ms;
+    s_p95_ms = slo.Sre.Slo.r_p95_ms;
+    s_p99_ms = slo.Sre.Slo.r_p99_ms;
   }
 
 let health t =
@@ -554,8 +529,8 @@ let serve_channels ?(log = ignore) ?(include_plan = false) t ic oc =
 (* Unix-domain socket listener: one thread per accepted connection, each
    running the same session loop. [max_sessions] bounds accepted connections
    (tests); without it the listener runs until the process dies. *)
-let serve_unix ?(log = ignore) ?(include_plan = false) ?(backlog = 16)
-    ?max_sessions t ~path () =
+let serve_unix ?(log = ignore) ?(include_plan = false) ?max_sessions t ~path
+    () =
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
@@ -564,7 +539,7 @@ let serve_unix ?(log = ignore) ?(include_plan = false) ?(backlog = 16)
       try Unix.unlink path with Unix.Unix_error _ -> ())
     (fun () ->
       Unix.bind sock (Unix.ADDR_UNIX path);
-      Unix.listen sock backlog;
+      Unix.listen sock 16;
       log (Printf.sprintf "listening on %s" path);
       let threads = ref [] in
       let accepted = ref 0 in

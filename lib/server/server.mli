@@ -25,21 +25,19 @@ val create :
   ?capacity:int ->
   ?max_variants:int ->
   ?events:Sre.Events.t ->
-  ?slo_objectives:Sre.Slo.objectives ->
   Catalog.Source.t ->
   t
 (** [config] defaults to {!Orca.Orca_config.default}; [capacity] and
     [max_variants] bound the plan cache (see {!Plan_cache.create});
     [events] defaults to a fresh enabled 1024-entry log (pass
-    [Sre.Events.create ~enabled:false ()] to run dark); [slo_objectives]
-    defaults to {!Sre.Slo.default_objectives}. *)
+    [Sre.Events.create ~enabled:false ()] to run dark). The SLO monitor
+    runs {!Sre.Slo.default_objectives}. *)
 
 val of_provider :
   ?config:Orca.Orca_config.t ->
   ?capacity:int ->
   ?max_variants:int ->
   ?events:Sre.Events.t ->
-  ?slo_objectives:Sre.Slo.objectives ->
   Catalog.Provider.t ->
   t
 (** [create] over a fresh source wrapping the provider. *)
@@ -51,16 +49,19 @@ val events : t -> Sre.Events.t
 (** The server's structured event log (ring + optional sink). *)
 
 val slo : t -> Sre.Slo.t
-(** The server's rolling-window SLO monitor. *)
+(** The server's rolling-window SLO monitor: its one request latency
+    histogram. *)
 
 val uptime_s : t -> float
 
 (** {1 Sessions and tracing} *)
 
 type session
-(** One protocol session's identity and accounting. [serve_channels] opens
-    and closes its own; API callers may open one explicitly to attribute
-    their requests, or pass none and share the sid-0 pseudo-session. *)
+(** One protocol session's identity and accounting: its sid, its request-id
+    stream and its request and error counts, which sum to the server's.
+    [serve_channels] opens and closes its own; API callers may open one
+    explicitly to attribute their requests, or pass none and share the
+    sid-0 pseudo-session. *)
 
 val session_id : session -> int
 
@@ -106,7 +107,7 @@ val invalidate : t -> [ `Catalog | `Stats ] -> int * (int * int)
     [(dropped, (catalog_version, stats_version))]. *)
 
 type stats = {
-  s_requests : int;
+  s_requests : int;  (** lifetime, summed over [s_per_session] *)
   s_errors : int;
   s_cache : Plan_cache.stats;
   s_uptime_s : float;
@@ -114,7 +115,8 @@ type stats = {
   s_sessions_total : int;  (** including the sid-0 API pseudo-session *)
   s_per_session : (int * int * int) list;
       (** (sid, requests, errors), sorted by sid *)
-  s_p50_ms : float;  (** lifetime request latency quantiles, this server *)
+  s_p50_ms : float;
+      (** request latency quantiles over the SLO window ({!Sre.Slo.report}) *)
   s_p95_ms : float;
   s_p99_ms : float;
 }
@@ -141,7 +143,6 @@ val serve_channels :
 val serve_unix :
   ?log:(string -> unit) ->
   ?include_plan:bool ->
-  ?backlog:int ->
   ?max_sessions:int ->
   t ->
   path:string ->

@@ -303,11 +303,6 @@ let test_fuzz_deterministic () =
   Alcotest.(check (list int)) "seed 7 reproducible" (order 7) (order 7);
   Alcotest.(check (list int)) "seed 8 reproducible" (order 8) (order 8)
 
-let test_run_root () =
-  let sched = Gpos.Scheduler.create () in
-  let result = Gpos.Scheduler.run_root sched (fun store -> store 42) in
-  Alcotest.(check (option int)) "result" (Some 42) result
-
 let test_clock () =
   let _, ms = Gpos.Clock.time (fun () -> Sys.opaque_identity (List.init 100 Fun.id)) in
   Alcotest.(check bool) "non-negative" true (ms >= 0.0)
@@ -430,7 +425,6 @@ let suite =
     Alcotest.test_case "failure clears goal table" `Quick
       test_failure_clears_goal_table;
     Alcotest.test_case "fuzz deterministic" `Quick test_fuzz_deterministic;
-    Alcotest.test_case "run_root" `Quick test_run_root;
     Alcotest.test_case "clock" `Quick test_clock;
     Alcotest.test_case "json print/parse round trip" `Quick test_json_round_trip;
     QCheck_alcotest.to_alcotest prop_json_string_round_trip;

@@ -369,13 +369,14 @@ let test_concurrent_sessions () =
   let server = new_server () in
   let nthreads = 8 and per_thread = 25 in
   let sqls = [| sql_base; sql_variant; sql_changed; sql_other |] in
+  let traces = Array.make (nthreads * per_thread) "" in
   let failures = ref 0 in
   let lock = Mutex.create () in
   let worker i =
     for j = 0 to per_thread - 1 do
       let sql = sqls.((i + j) mod Array.length sqls) in
       match Sv.optimize_sql server sql with
-      | Ok _ -> ()
+      | Ok r -> traces.((i * per_thread) + j) <- r.Sv.r_trace
       | Error _ ->
           Mutex.lock lock;
           incr failures;
@@ -392,7 +393,14 @@ let test_concurrent_sessions () =
   let c = s.Sv.s_cache in
   Alcotest.(check int)
     "every probe accounted for" (nthreads * per_thread)
-    (c.Pc.hits + c.Pc.rebinds + c.Pc.misses)
+    (c.Pc.hits + c.Pc.rebinds + c.Pc.misses);
+  (* the threads share the sid-0 API session's request-id stream *)
+  Alcotest.(check (list string))
+    "sid-0 trace ids are unique and gapless"
+    (List.sort compare
+       (List.init (nthreads * per_thread) (fun k ->
+            Printf.sprintf "s0-r%d" (k + 1))))
+    (List.sort compare (Array.to_list traces))
 
 let test_unix_socket_sessions () =
   let server = new_server () in
@@ -476,6 +484,8 @@ let test_trace_in_replies () =
   Alcotest.(check string) "session request traces under its sid" "s1-r1"
     r3.Sv.r_trace;
   Sv.close_session server s;
+  Alcotest.(check int) "sids advance" 2
+    (Sv.session_id (Sv.open_session server));
   (* the trace id is echoed in the protocol reply JSON *)
   Alcotest.(check bool) "trace echoed in the reply line" true
     (has {|"trace":"s0-r1"|} (Sv.json_of_reply ~include_plan:false r1));
@@ -547,32 +557,8 @@ let test_error_events_and_slo () =
     r.Sre.Slo.r_errors;
   let st = Sv.stats server in
   Alcotest.(check int) "stats counts the error" 1 st.Sv.s_errors;
-  Alcotest.(check bool) "lifetime latency quantiles populated" true
+  Alcotest.(check bool) "window latency quantiles populated" true
     (st.Sv.s_p50_ms > 0.0 && st.Sv.s_p99_ms >= st.Sv.s_p50_ms)
-
-(* unescape a JSON string literal's body (the reply fields are produced by
-   the server's own escaper: quote, backslash, \n\r\t and \uXXXX) *)
-let json_unescape s =
-  let buf = Buffer.create (String.length s) in
-  let i = ref 0 in
-  let n = String.length s in
-  while !i < n do
-    (if s.[!i] <> '\\' then Buffer.add_char buf s.[!i]
-     else begin
-       incr i;
-       match s.[!i] with
-       | 'n' -> Buffer.add_char buf '\n'
-       | 'r' -> Buffer.add_char buf '\r'
-       | 't' -> Buffer.add_char buf '\t'
-       | 'u' ->
-           let code = int_of_string ("0x" ^ String.sub s (!i + 1) 4) in
-           i := !i + 4;
-           Buffer.add_char buf (Char.chr (code land 0xff))
-       | c -> Buffer.add_char buf c
-     end);
-    incr i
-  done;
-  Buffer.contents buf
 
 (* run one scripted protocol session; returns the response lines *)
 let run_session server lines =
@@ -595,20 +581,15 @@ let test_metrics_endpoint () =
   | [ _; metrics; _ ] ->
       Alcotest.(check bool) "server-side lint is clean" true
         (has {|"lint_errors":0|} metrics);
-      (* extract the escaped exposition and lint it client-side too *)
-      let key = {|"metrics":"|} in
-      let start =
-        let rec find i =
-          if i + String.length key > String.length metrics then
-            Alcotest.fail "no metrics field in the reply"
-          else if String.sub metrics i (String.length key) = key then
-            i + String.length key
-          else find (i + 1)
-        in
-        find 0
+      (* decode the escaped exposition and lint it client-side too *)
+      let prom =
+        match Gpos.Json.of_string metrics with
+        | Ok json -> (
+            match Gpos.Json.member "metrics" json with
+            | Some (Gpos.Json.Str prom) -> prom
+            | _ -> Alcotest.fail "no metrics string in the reply")
+        | Error e -> Alcotest.failf "!metrics reply is not JSON: %s" e
       in
-      let stop = String.rindex metrics '"' in
-      let prom = json_unescape (String.sub metrics start (stop - start)) in
       Alcotest.(check (list string))
         "exposition passes the Prometheus linter" []
         (Telemetry.Expose.lint_prometheus prom);
@@ -669,14 +650,15 @@ let test_protocol_stays_line_parseable () =
     (List.length replies);
   List.iter
     (fun line ->
-      Alcotest.(check bool)
-        ("well-formed single-line reply: " ^ line)
-        true
-        (String.length line > 0
-        && line.[0] = '{'
-        && line.[String.length line - 1] = '}'
-        && has {|"ok":|} line
-        && not (has {|"event":|} line)))
+      match Gpos.Json.of_string line with
+      | Ok (Gpos.Json.Obj _ as reply) ->
+          Alcotest.(check bool)
+            ("a protocol reply, not an event: " ^ line)
+            true
+            (Option.is_some (Gpos.Json.member "ok" reply)
+            && Option.is_none (Gpos.Json.member "event" reply))
+      | Ok _ -> Alcotest.failf "reply is not a JSON object: %s" line
+      | Error e -> Alcotest.failf "reply is not strict JSON (%s): %s" e line)
     replies;
   let ic = open_in sink_path in
   let sink_lines = ref [] in
@@ -756,6 +738,67 @@ let test_concurrent_session_accounting () =
   Alcotest.(check int) "every session opened and closed" nthreads
     (List.length
        (List.filter (fun e -> e.Sre.Events.ev_kind = "session_close") es))
+
+(* Every count and latency of a request is written at one site, so each
+   scope agrees: the session sums, the SLO window, the terminal events,
+   and the !stats and !slo quantiles. API calls and two protocol sessions
+   mix hits, misses and error replies. *)
+let test_single_accounting_path () =
+  let server = new_server () in
+  let bogus = "SELECT nope FROM missing_table" in
+  ignore (ok_reply server sql_base);
+  ignore (Sv.optimize_sql server bogus);
+  ignore (run_session server [ sql_base; sql_other; bogus; "!quit" ]);
+  ignore (ok_reply server sql_changed);
+  let replies =
+    run_session server [ sql_variant; bogus; "!stats"; "!slo"; "!quit" ]
+  in
+  let s = Sv.stats server in
+  Alcotest.(check (pair int int)) "requests and errors" (8, 3)
+    (s.Sv.s_requests, s.Sv.s_errors);
+  let sum f = List.fold_left (fun acc row -> acc + f row) 0 s.Sv.s_per_session in
+  Alcotest.(check (pair int int)) "the sums over the sessions"
+    (s.Sv.s_requests, s.Sv.s_errors)
+    (sum (fun (_, r, _) -> r), sum (fun (_, _, e) -> e));
+  Alcotest.(check (list (triple int int int))) "per session"
+    [ (0, 3, 1); (1, 3, 1); (2, 2, 1) ] s.Sv.s_per_session;
+  let slo = Sre.Slo.report (Sv.slo server) in
+  Alcotest.(check (pair int int)) "the SLO window"
+    (s.Sv.s_requests, s.Sv.s_errors)
+    (slo.Sre.Slo.r_requests, slo.Sre.Slo.r_errors);
+  let terminal kind =
+    List.length
+      (List.filter
+         (fun e -> e.Sre.Events.ev_kind = kind)
+         (Sre.Events.entries (Sv.events server)))
+  in
+  Alcotest.(check (pair int int)) "the terminal events"
+    (s.Sv.s_requests, s.Sv.s_errors)
+    (terminal "request_finish" + terminal "request_error",
+     terminal "request_error");
+  let c = s.Sv.s_cache in
+  Alcotest.(check bool) "hits and misses both served" true
+    (c.Pc.hits > 0 && c.Pc.misses > 0);
+  match replies with
+  | [ _; _; stats; slo; _ ] ->
+      let json line =
+        match Gpos.Json.of_string line with
+        | Ok json -> json
+        | Error e -> Alcotest.failf "reply is not JSON (%s): %s" e line
+      in
+      let stats = json stats and slo = json slo in
+      List.iter
+        (fun q ->
+          match
+            ( Gpos.Json.member q stats,
+              Option.bind (Gpos.Json.member "slo" slo) (Gpos.Json.member q) )
+          with
+          | Some (Gpos.Json.Num mine), Some (Gpos.Json.Num window) ->
+              Alcotest.(check string) ("!stats " ^ q ^ " is the window's")
+                window mine
+          | _ -> Alcotest.failf "%s missing from !stats or !slo" q)
+        [ "p50_ms"; "p95_ms"; "p99_ms" ]
+  | lines -> Alcotest.failf "expected 5 reply lines, got %d" (List.length lines)
 
 let test_eviction_event () =
   let server =
@@ -1028,6 +1071,8 @@ let suite =
       test_protocol_stays_line_parseable;
     Alcotest.test_case "concurrent sessions account exactly" `Quick
       test_concurrent_session_accounting;
+    Alcotest.test_case "one accounting path across scopes" `Quick
+      test_single_accounting_path;
     Alcotest.test_case "LRU eviction emits an event" `Quick test_eviction_event;
     Alcotest.test_case "server misses feed the flight recorder" `Quick
       test_flight_recorder_wiring;

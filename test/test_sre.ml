@@ -1,48 +1,80 @@
-(* Tests for lib/sre: trace-id generation, the structured event log (ring
-   bounds, level filtering, zero-cost-when-disabled, golden JSON under the
-   fake clock, file sink), the rolling-window SLO monitor (hand-computed
-   burn rates, window rotation and gap reset) and the readiness policy. *)
+(* Tests for lib/sre: trace ids (allocated by the server's session
+   record), the structured event log (ring bounds, level filtering,
+   zero-cost-when-disabled, golden JSON under the fake clock, file sink),
+   the rolling-window SLO monitor (hand-computed burn rates, window
+   rotation and gap reset) and the readiness policy. *)
 
-module Tr = Sre.Trace
 module Ev = Sre.Events
 module Slo = Sre.Slo
 module H = Sre.Health
 
 (* --- tracing --- *)
 
-let test_trace_ids () =
-  let g = Tr.make_gen () in
-  let api = Tr.api_session g in
-  Alcotest.(check int) "api session is sid 0" 0 api.Tr.sid;
-  let s1 = Tr.open_session g and s2 = Tr.open_session g in
-  Alcotest.(check int) "first session is sid 1" 1 s1.Tr.sid;
-  Alcotest.(check int) "second session is sid 2" 2 s2.Tr.sid;
-  Alcotest.(check string) "render" "s3-r17" (Tr.render ~sid:3 ~rid:17);
-  Alcotest.(check string) "first request" "s1-r1" (Tr.next s1);
-  Alcotest.(check string) "rids are per-session" "s2-r1" (Tr.next s2);
-  Alcotest.(check string) "rids advance" "s1-r2" (Tr.next s1);
-  Alcotest.(check string) "api traces" "s0-r1" (Tr.next api)
+let trace_sql = "SELECT a, b FROM t1 WHERE b = 10"
 
+let trace_server () =
+  Server.of_provider
+    ~config:(Lazy.force Fixtures.orca_config)
+    (Lazy.force Fixtures.small).Fixtures.provider
+
+let next_trace ?session server =
+  match Server.optimize_sql ?session server trace_sql with
+  | Ok r -> r.Server.r_trace
+  | Error e -> Alcotest.failf "optimize_sql failed: %s" e
+
+let test_trace_ids () =
+  let server = trace_server () in
+  let s1 = Server.open_session server in
+  let s2 = Server.open_session server in
+  Alcotest.(check int) "first session is sid 1" 1 (Server.session_id s1);
+  Alcotest.(check int) "second session is sid 2" 2 (Server.session_id s2);
+  Alcotest.(check string) "first request" "s1-r1"
+    (next_trace ~session:s1 server);
+  Alcotest.(check string) "rids are per-session" "s2-r1"
+    (next_trace ~session:s2 server);
+  Alcotest.(check string) "rids advance" "s1-r2"
+    (next_trace ~session:s1 server);
+  Alcotest.(check string) "api traces in sid 0" "s0-r1" (next_trace server)
+
+(* Threads open sessions concurrently and interleave requests on their own
+   session with requests on the shared sid-0 API session. *)
 let test_trace_ids_concurrent () =
-  let g = Tr.make_gen () in
-  let s = Tr.api_session g in
-  let n = 4 and per = 200 in
-  let out = Array.make (n * per) "" in
+  let server = trace_server () in
+  let n = 4 and per = 25 in
+  let sids = Array.make n 0 in
+  let own = Array.make (n * per) "" and api = Array.make (n * per) "" in
   let threads =
     List.init n (fun i ->
         Thread.create
           (fun () ->
+            let s = Server.open_session server in
+            sids.(i) <- Server.session_id s;
             for j = 0 to per - 1 do
-              out.((i * per) + j) <- Tr.next s
-            done)
+              own.((i * per) + j) <- next_trace ~session:s server;
+              api.((i * per) + j) <- next_trace server
+            done;
+            Server.close_session server s)
           ())
   in
   List.iter Thread.join threads;
-  let tbl = Hashtbl.create (n * per) in
-  Array.iter (fun id -> Hashtbl.replace tbl id ()) out;
+  Alcotest.(check (list int))
+    "concurrently opened sessions get distinct sids" (List.init n (( + ) 1))
+    (List.sort compare (Array.to_list sids));
+  let tbl = Hashtbl.create (2 * n * per) in
+  Array.iter (fun id -> Hashtbl.replace tbl id ()) own;
+  Array.iter (fun id -> Hashtbl.replace tbl id ()) api;
   Alcotest.(check int)
-    "every concurrently allocated trace id is unique" (n * per)
-    (Hashtbl.length tbl)
+    "every concurrently allocated trace id is unique" (2 * n * per)
+    (Hashtbl.length tbl);
+  Alcotest.(check (list string))
+    "sid-0 rids are gapless"
+    (List.init (n * per) (fun k -> Printf.sprintf "s0-r%d" (k + 1)))
+    (List.sort
+       (fun a b ->
+         compare
+           (Scanf.sscanf a "s0-r%d" Fun.id)
+           (Scanf.sscanf b "s0-r%d" Fun.id))
+       (Array.to_list api))
 
 (* --- the event log --- *)
 

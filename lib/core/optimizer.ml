@@ -20,7 +20,9 @@ type report = {
   xforms : int;
   stage_name : string;
   peak_heap_mb : float;
-  memo : Memolib.Memo.t;  (* retained for TAQO sampling and inspection *)
+  memo : Memolib.Memo.t;
+      (* retained for TAQO sampling and inspection; contexts hold winners,
+         [Memo.alternatives] rebuilds the rest *)
   root_req : Props.req;
   decorrelated : int;
   diagnostics : Verify.Diagnostic.t list;

@@ -20,7 +20,11 @@ type report = {
   xforms : int;            (** transformation-rule applications *)
   stage_name : string;     (** the optimization stage that produced the plan *)
   peak_heap_mb : float;
-  memo : Memolib.Memo.t;   (** retained for TAQO sampling and inspection *)
+  memo : Memolib.Memo.t;
+      (** retained for TAQO sampling and inspection. Contexts hold their
+          winners; {!Memolib.Memo.alternatives} rebuilds the other costed
+          alternatives on demand through the engine that costed the Memo,
+          which the Memo keeps reachable while the report lives. *)
   root_req : Props.req;    (** the root optimization request *)
   decorrelated : int;      (** Apply operators unnested during preprocessing *)
   diagnostics : Verify.Diagnostic.t list;

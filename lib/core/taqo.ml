@@ -42,9 +42,9 @@ let sample_plans ?(seed = 7) ~(n : int) (report : Optimizer.report) :
   (* sampling is with replacement; draw extra candidates to approach n
      distinct plans *)
   let attempts = max (4 * n) 32 in
+  let draw = Memolib.Extract.sampler memo root req in
   for _ = 1 to attempts do
-    if List.length !plans < n then
-      consider (Memolib.Extract.sample_plan rng memo root req)
+    if List.length !plans < n then consider (draw rng)
   done;
   List.rev !plans
 

@@ -16,7 +16,7 @@ type point = {
 type outcome = {
   points : point list;     (** the sampled plans, chosen plan first *)
   score : float;           (** weighted pair-ordering correlation in [-1, 1] *)
-  plans_in_space : float;  (** size of the recorded plan space *)
+  plans_in_space : float;  (** size of the costed plan space *)
   best_rank : int;         (** actual-runtime rank of the optimizer's choice *)
 }
 

@@ -85,9 +85,9 @@ let best_plan memo gid req : Expr.plan =
 
 (* --- plan counting and uniform sampling (TAQO substrate) --- *)
 
-(* Number of distinct physical plans recorded for (group, request). Counted
-   over the alternatives stored in optimization contexts; floats guard
-   against overflow in large spaces. *)
+(* Number of distinct physical plans costed for (group, request). Counted
+   over the alternatives of each optimization context ([Memo.alternatives]);
+   floats guard against overflow in large spaces. *)
 let count_plans memo gid req : float =
   let memo_table : (int * int, float) Hashtbl.t = Hashtbl.create 64 in
   let rec count gid req =
@@ -108,18 +108,29 @@ let count_plans memo gid req : float =
                   1.0 alt.Memo.a_gexpr.Memo.ge_children alt.Memo.a_child_reqs
               in
               acc +. sub)
-            0.0 ctx.Memo.cx_alts
+            0.0
+            (Memo.alternatives memo gid ctx)
         in
         Hashtbl.replace memo_table key total;
         total
   in
   count gid req
 
-(* Sample a plan uniformly from the recorded plan space: alternatives are
+(* Sample plans uniformly from the costed plan space: alternatives are
    chosen with probability proportional to the number of complete plans in
-   their subtrees. *)
-let sample_plan (rng : Gpos.Prng.t) memo gid req : Expr.plan =
+   their subtrees. Subtree counts and each context's alternatives are
+   computed once and shared by every draw. *)
+let sampler memo gid req : Gpos.Prng.t -> Expr.plan =
   let memo_table : (int * int, float) Hashtbl.t = Hashtbl.create 64 in
+  let alts_table : (int, Memo.alternative list) Hashtbl.t = Hashtbl.create 64 in
+  let alternatives gid (ctx : Memo.context) =
+    match Hashtbl.find_opt alts_table ctx.Memo.cx_id with
+    | Some alts -> alts
+    | None ->
+        let alts = Memo.alternatives memo gid ctx in
+        Hashtbl.replace alts_table ctx.Memo.cx_id alts;
+        alts
+  in
   let rec count gid req =
     let gid = Memo.find memo gid in
     let key = (gid, Props.req_fingerprint req) in
@@ -132,7 +143,7 @@ let sample_plan (rng : Gpos.Prng.t) memo gid req : Expr.plan =
           List.fold_left
             (fun acc (alt : Memo.alternative) ->
               acc +. subtree_count alt)
-            0.0 ctx.Memo.cx_alts
+            0.0 (alternatives gid ctx)
         in
         Hashtbl.replace memo_table key total;
         total
@@ -141,38 +152,39 @@ let sample_plan (rng : Gpos.Prng.t) memo gid req : Expr.plan =
       (fun p cg cr -> p *. count cg cr)
       1.0 alt.Memo.a_gexpr.Memo.ge_children alt.Memo.a_child_reqs
   in
-  let pick gid req ~assumed =
-    let ctx = context_exn memo gid req in
-    (* only alternatives covering what the parent's costing assumed this
-       child delivered are sound substitutes *)
-    let candidates =
-      match assumed with
-      | None -> ctx.Memo.cx_alts
-      | Some d ->
-          List.filter
-            (fun (a : Memo.alternative) ->
-              Props.derived_covers ~assumed:d ~actual:a.Memo.a_derived)
-            ctx.Memo.cx_alts
-    in
-    let fallback () =
-      match ctx.Memo.cx_best with
-      | Some alt -> alt
-      | None -> Gpos.Gpos_error.internal "sample_plan: empty context"
-    in
-    let total =
-      List.fold_left (fun acc a -> acc +. subtree_count a) 0.0 candidates
-    in
-    if total <= 0.0 then fallback ()
-    else begin
-      let target = Gpos.Prng.float rng *. total in
-      let rec scan acc = function
-        | [] -> fallback ()
-        | alt :: rest ->
-            let acc = acc +. subtree_count alt in
-            if acc >= target then alt else scan acc rest
+  fun rng ->
+    let pick gid req ~assumed =
+      let ctx = context_exn memo gid req in
+      (* only alternatives covering what the parent's costing assumed this
+         child delivered are sound substitutes *)
+      let candidates =
+        match assumed with
+        | None -> alternatives gid ctx
+        | Some d ->
+            List.filter
+              (fun (a : Memo.alternative) ->
+                Props.derived_covers ~assumed:d ~actual:a.Memo.a_derived)
+              (alternatives gid ctx)
       in
-      scan 0.0 candidates
-    end
-  in
-  let alt = pick gid req ~assumed:None in
-  plan_of_alternative memo gid alt ~pick
+      let fallback () =
+        match ctx.Memo.cx_best with
+        | Some alt -> alt
+        | None -> Gpos.Gpos_error.internal "sampler: empty context"
+      in
+      let total =
+        List.fold_left (fun acc a -> acc +. subtree_count a) 0.0 candidates
+      in
+      if total <= 0.0 then fallback ()
+      else begin
+        let target = Gpos.Prng.float rng *. total in
+        let rec scan acc = function
+          | [] -> fallback ()
+          | alt :: rest ->
+              let acc = acc +. subtree_count alt in
+              if acc >= target then alt else scan acc rest
+        in
+        scan 0.0 candidates
+      end
+    in
+    let alt = pick gid req ~assumed:None in
+    plan_of_alternative memo gid alt ~pick

@@ -23,9 +23,13 @@ val plan_of_alternative :
     rolled up from the children actually materialized. *)
 
 val count_plans : Memo.t -> int -> Props.req -> float
-(** Number of distinct plans recorded for (group, request); float-valued to
-    tolerate very large spaces. *)
+(** Number of distinct plans costed for (group, request), over the
+    contexts' {!Memo.alternatives}; float-valued to tolerate very large
+    spaces. *)
 
-val sample_plan : Gpos.Prng.t -> Memo.t -> int -> Props.req -> Expr.plan
-(** Draw a plan uniformly from the recorded plan space: alternatives are
-    chosen with probability proportional to their subtree plan counts. *)
+val sampler : Memo.t -> int -> Props.req -> Gpos.Prng.t -> Expr.plan
+(** [sampler memo gid req] draws plans uniformly from the costed plan
+    space: alternatives are chosen with probability proportional to their
+    subtree plan counts. Partially apply it once and draw repeatedly: the
+    counts and each visited context's alternatives are computed once for
+    all draws. *)

@@ -11,7 +11,10 @@ open Ir
    Each group owns a hash table of optimization contexts: one per
    optimization request (required properties), recording the best group
    expression, its child requests and enforcers — the linkage structure used
-   for plan extraction (paper Fig. 6) and for TAQO's uniform plan sampling. *)
+   for plan extraction (paper Fig. 6). A context keeps only its winner; the
+   full list of costed alternatives, which TAQO's uniform plan sampling,
+   provenance and the Memo checker walk, is rebuilt on demand by the
+   function the search engine installs ([set_alternatives]). *)
 
 (* Where a group expression came from (lib/prov): the xform that produced
    it, the group expression it was derived from, and the stage/promise at
@@ -61,7 +64,6 @@ type context = {
   cx_req : Props.req;
   mutable cx_state : ctx_state;
   mutable cx_best : alternative option;
-  mutable cx_alts : alternative list; (* every costed alternative (for TAQO) *)
 }
 
 let next_cx_id = Atomic.make 0
@@ -116,6 +118,8 @@ type t = {
   lock : Mutex.t;
   mutable cte_producer_groups : (int * int) list; (* cte id -> producer group *)
   obs : obs_counters;
+  mutable derive_alts : int -> context -> alternative list;
+      (* installed by the engine that costs this Memo *)
 }
 
 let create ?(interning = true) () =
@@ -131,6 +135,7 @@ let create ?(interning = true) () =
     root = -1;
     lock = Mutex.create ();
     cte_producer_groups = [];
+    derive_alts = (fun _ _ -> []);
     obs =
       {
         oc_inserts = 0;
@@ -432,7 +437,6 @@ let obtain_context t gid (req : Props.req) : context * bool =
               cx_req = req;
               cx_state = Ctx_new;
               cx_best = None;
-              cx_alts = [];
             }
           in
           let prev =
@@ -454,7 +458,6 @@ let record_alternative t gid (ctx : context) (alt : alternative) =
   let g = group t gid in
   with_group_lock g (fun () ->
       trace_access (fun () -> Printf.sprintf "ctx:%d.best" ctx.cx_id) true;
-      ctx.cx_alts <- alt :: ctx.cx_alts;
       match ctx.cx_best with
       | Some best
         when best.a_cost < alt.a_cost
@@ -463,6 +466,9 @@ let record_alternative t gid (ctx : context) (alt : alternative) =
       | _ ->
           Atomic.incr t.obs.oc_winner_updates;
           ctx.cx_best <- Some alt)
+
+let set_alternatives t f = t.derive_alts <- f
+let alternatives t gid ctx = t.derive_alts (find t gid) ctx
 
 let contexts_of_group t gid =
   let g = group t gid in

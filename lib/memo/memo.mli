@@ -8,9 +8,10 @@
     through a union-find.
 
     Each group owns a hash table of optimization contexts — one per
-    optimization request — recording every costed alternative and the best
-    one: the linkage structure used for plan extraction (Fig. 6) and for
-    TAQO's uniform plan sampling. *)
+    optimization request — recording the best alternative: the linkage
+    structure used for plan extraction (Fig. 6). The other costed
+    alternatives, which TAQO's uniform plan sampling walks, are not kept;
+    {!alternatives} rebuilds them on demand. *)
 
 open Ir
 
@@ -61,13 +62,16 @@ type alternative = {
 
 type ctx_state = Ctx_new | Ctx_in_progress | Ctx_complete
 
+(** An optimization request on a group and its winner. Only the winner is
+    stored: costing a context yields hundreds of alternatives that nothing
+    on the serving path reads, so [alternatives] derives the list when a
+    reader (TAQO, provenance, the Memo checker) asks for it. *)
 type context = {
   cx_id : int;
       (** process-unique context id (stable sanitizer object names) *)
   cx_req : Props.req;
   mutable cx_state : ctx_state;
   mutable cx_best : alternative option;
-  mutable cx_alts : alternative list; (** every costed alternative *)
 }
 
 type group = {
@@ -136,9 +140,19 @@ val obtain_context : t -> int -> Props.req -> context * bool
     this call created it (and therefore owns computing it). *)
 
 val record_alternative : t -> int -> context -> alternative -> unit
-(** Record a costed alternative, updating the context's best. Ties on cost
-    break on a stable structural key rather than arrival order, so the
-    chosen plan is independent of the costing schedule. *)
+(** Offer a costed alternative to the context; it becomes the best when it
+    is cheaper than the incumbent. Ties on cost break on a stable
+    structural key rather than arrival order, so the chosen plan is
+    independent of the costing schedule. Losing alternatives are not kept. *)
+
+val set_alternatives : t -> (int -> context -> alternative list) -> unit
+(** Install the function behind {!alternatives}: the search engine installs
+    one on the Memo it costs. *)
+
+val alternatives : t -> int -> context -> alternative list
+(** Every alternative costed in a context of the given group, newest first
+    (the order costing offered them, reversed), rebuilt by the installed
+    function; [[]] on a Memo no engine has costed. *)
 
 val contexts_of_group : t -> int -> context list
 

@@ -45,7 +45,7 @@ type search_stat = {
   c_contexts : int;          (* optimization contexts created by the engine *)
   c_op_costings : int;       (* Cost_model.op_cost invocations *)
   c_enforcer_costings : int; (* Cost_model.enforcer_cost invocations *)
-  c_alternatives : int;      (* alternatives recorded into contexts *)
+  c_alternatives : int;      (* alternatives costed and offered to contexts *)
   c_deadline_checks : int;
   c_stats_hits : int;        (* rows/width/skew served from the stats memo *)
   c_base_reuses : int;       (* op+children base costs served from cache *)

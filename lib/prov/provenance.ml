@@ -87,22 +87,32 @@ let lineage_of memo (ge : Memo.gexpr) : lineage_step list =
   in
   go [] [ ge.Memo.ge_id ] ge
 
-let losers_of (ctx : Memo.context) (best : Memo.alternative) : loser list =
-  List.filter_map
+(* [alts] is the context's rebuilt alternative list ([Memo.alternatives]):
+   it holds a copy of the winner, not the winner itself, so the winner is
+   recognized by what it is — the same gexpr, child requests and
+   enforcers — and only its first copy is dropped. *)
+let losers_of (alts : Memo.alternative list) (best : Memo.alternative) :
+    loser list =
+  let is_best (a : Memo.alternative) =
+    a.Memo.a_gexpr == best.Memo.a_gexpr
+    && a.Memo.a_child_reqs = best.Memo.a_child_reqs
+    && a.Memo.a_enforcers = best.Memo.a_enforcers
+  in
+  let rec drop_best = function
+    | [] -> []
+    | a :: rest -> if is_best a then rest else a :: drop_best rest
+  in
+  List.map
     (fun (alt : Memo.alternative) ->
-      if alt == best then None
-      else
-        let ge = alt.Memo.a_gexpr in
-        Some
-          {
-            lo_op = op_to_string ge.Memo.ge_op;
-            lo_rule =
-              Option.map (fun o -> o.Memo.o_rule) ge.Memo.ge_origin;
-            lo_cost = alt.Memo.a_cost;
-            lo_delta = alt.Memo.a_cost -. best.Memo.a_cost;
-            lo_enforcers = List.length alt.Memo.a_enforcers;
-          })
-    ctx.Memo.cx_alts
+      let ge = alt.Memo.a_gexpr in
+      {
+        lo_op = op_to_string ge.Memo.ge_op;
+        lo_rule = Option.map (fun o -> o.Memo.o_rule) ge.Memo.ge_origin;
+        lo_cost = alt.Memo.a_cost;
+        lo_delta = alt.Memo.a_cost -. best.Memo.a_cost;
+        lo_enforcers = List.length alt.Memo.a_enforcers;
+      })
+    (drop_best alts)
   |> List.sort (fun a b -> Float.compare a.lo_cost b.lo_cost)
 
 let enforcer_reason (enf : Props.enforcer) (req : Props.req) : string =
@@ -195,12 +205,13 @@ let annotate memo ~(req : Props.req) ~(stage : string) (plan : Expr.plan) : t
                   "prov: Memo walk has %s at %s, plan has %s"
                   (op_to_string ge.Memo.ge_op)
                   path op_str;
+              let alts = Memo.alternatives memo gid ctx in
               K_operator
                 {
                   oi_group = gid;
                   oi_lineage = lineage_of memo ge;
-                  oi_losers = losers_of ctx alt;
-                  oi_alts = List.length ctx.Memo.cx_alts;
+                  oi_losers = losers_of alts alt;
+                  oi_alts = List.length alts;
                 }
         in
         {

@@ -86,9 +86,12 @@ type t = {
   skew_cache : (int * Expr.scalar list, float) Hashtbl.t;
   skew_lock : Mutex.t;
   (* (gexpr id, child request vector) -> (local cost, children cost,
-     delivered properties). Valid across optimization contexts: child bests
-     are final before any parent costs against them (the goal-queue barrier),
-     and the operator's cost inputs are fixed per (gexpr, child requests). *)
+     delivered properties, child deliveries). Valid across optimization
+     contexts: child bests are final before any parent costs against them
+     (the goal-queue barrier), and the operator's cost inputs are fixed per
+     (gexpr, child requests). Filled in every configuration, since
+     [alternatives] rebuilds contexts from it; costing reads it back only
+     under [winner_reuse]. *)
   cost_cache :
     ( int * Props.req list,
       float * float * Props.derived * Props.derived list )
@@ -449,17 +452,20 @@ let compute_group_rows t gid =
 let compute_group_width t gid =
   Stats.Relstats.row_width (Memo.output_cols t.memo gid)
 
-let group_rows t gid =
+(* [count] = false reads without bumping the stats-hit counter: deriving a
+   context's alternatives after costing must leave the work counts as the
+   costing left them. *)
+let group_rows ?(count = true) t gid =
   match Hashtbl.find_opt t.rows_cache gid with
   | Some r ->
-      Atomic.incr t.counters.a_stats_hits;
+      if count then Atomic.incr t.counters.a_stats_hits;
       r
   | None -> compute_group_rows t gid
 
-let group_width t gid =
+let group_width ?(count = true) t gid =
   match Hashtbl.find_opt t.width_cache gid with
   | Some w ->
-      Atomic.incr t.counters.a_stats_hits;
+      if count then Atomic.incr t.counters.a_stats_hits;
       w
   | None -> compute_group_width t gid
 
@@ -488,7 +494,7 @@ let compute_redistribute_skew t gid es =
       let skew = List.fold_left Float.max 1.0 col_skews in
       Float.min skew 4.0
 
-let redistribute_skew t gid (enf : Props.enforcer) =
+let redistribute_skew ?(count = true) t gid (enf : Props.enforcer) =
   match enf with
   | Props.E_motion (Expr.Redistribute es) ->
       if not t.stats_memo then compute_redistribute_skew t gid es
@@ -503,7 +509,7 @@ let redistribute_skew t gid (enf : Props.enforcer) =
         Mutex.unlock t.skew_lock;
         match hit with
         | Some v ->
-            Atomic.incr t.counters.a_stats_hits;
+            if count then Atomic.incr t.counters.a_stats_hits;
             v
         | None ->
             let v = compute_redistribute_skew t gid es in
@@ -514,15 +520,9 @@ let redistribute_skew t gid (enf : Props.enforcer) =
       end
   | _ -> 1.0
 
-(* Cost one (gexpr, child-request vector) and record every enforcement
-   alternative into the context. *)
-let cost_alternative t (ctx : Memo.context) (gid : int) (ge : Memo.gexpr)
-    (op : Expr.physical) (child_reqs : Props.req list) : unit =
-  (* (local cost, children cost, delivered properties) depends only on the
-     gexpr and the child request vector, never on this context's required
-     properties — so it can be reused across the enforcer recursion's
-     contexts. Sound because every child best is final before any parent
-     costs against it (the goal-queue barrier). *)
+(* The [cost_cache] entry of one (gexpr, child-request vector), computed
+   and stored on a miss; [None] while a child has no winner. *)
+let base_cost t gid (ge : Memo.gexpr) (op : Expr.physical) child_reqs =
   let cache_key = (ge.Memo.ge_id, child_reqs) in
   let cached =
     if not t.winner_reuse then None
@@ -533,110 +533,147 @@ let cost_alternative t (ctx : Memo.context) (gid : int) (ge : Memo.gexpr)
       hit
     end
   in
-  let base =
-    match cached with
-    | Some hit ->
-        bump_by t.counters.a_base_reuses 1;
-        Some hit
-    | None ->
-        let children = List.map (Memo.find t.memo) ge.Memo.ge_children in
-        let child_bests =
+  match cached with
+  | Some hit ->
+      bump_by t.counters.a_base_reuses 1;
+      Some hit
+  | None ->
+      let children = List.map (Memo.find t.memo) ge.Memo.ge_children in
+      let child_bests =
+        List.map2
+          (fun cg cr ->
+            match Memo.find_context t.memo cg cr with
+            | Some cctx ->
+                (* unlocked read: must be ordered after the child Opt goal's
+                   release by the goal queue — the sanitizer checks exactly
+                   this *)
+                trace_access
+                  (fun () -> Printf.sprintf "ctx:%d.best" cctx.Memo.cx_id)
+                  false;
+                cctx.Memo.cx_best
+            | None -> None)
+          children child_reqs
+      in
+      if not (List.for_all Option.is_some child_bests) then None
+      else begin
+        let child_bests = List.map Option.get child_bests in
+        let child_derived = List.map (fun b -> b.Memo.a_derived) child_bests in
+        let delivered = Physical_ops.derive op child_derived in
+        let inputs =
           List.map2
-            (fun cg cr ->
-              match Memo.find_context t.memo cg cr with
-              | Some cctx ->
-                  (* unlocked read: must be ordered after the child Opt goal's
-                     release by the goal queue — the sanitizer checks exactly
-                     this *)
-                  trace_access
-                    (fun () -> Printf.sprintf "ctx:%d.best" cctx.Memo.cx_id)
-                    false;
-                  cctx.Memo.cx_best
-              | None -> None)
-            children child_reqs
+            (fun cg (b : Memo.alternative) ->
+              Cost.Cost_model.input ~rows:(group_rows t cg)
+                ~width:(group_width t cg) ~dist:b.Memo.a_derived.Props.ddist ())
+            children child_bests
         in
-        if not (List.for_all Option.is_some child_bests) then None
-        else begin
-          let child_bests = List.map Option.get child_bests in
-          let child_derived =
-            List.map (fun b -> b.Memo.a_derived) child_bests
-          in
-          let delivered = Physical_ops.derive op child_derived in
-          let inputs =
-            List.map2
-              (fun cg (b : Memo.alternative) ->
-                Cost.Cost_model.input ~rows:(group_rows t cg)
-                  ~width:(group_width t cg) ~dist:b.Memo.a_derived.Props.ddist
-                  ())
-              children child_bests
-          in
-          let rows_out = group_rows t gid in
-          let width_out = group_width t gid in
-          let scan_rows =
-            match op with
-            | Expr.P_table_scan (td, _, _) | Expr.P_index_scan (td, _, _, _, _)
-              ->
-                Stats.Relstats.rows (t.base td)
-            | _ -> 0.0
-          in
-          bump_by t.counters.a_op_costings 1;
-          let local =
-            Cost.Cost_model.op_cost t.model op ~rows_out ~width_out ~inputs
-              ~scan_rows ~out_dist:delivered.Props.ddist
-          in
-          let children_cost =
-            List.fold_left (fun acc b -> acc +. b.Memo.a_cost) 0.0 child_bests
-          in
-          let entry = (local, children_cost, delivered, child_derived) in
-          if t.winner_reuse then begin
-            Mutex.lock t.cost_lock;
-            Hashtbl.replace t.cost_cache cache_key entry;
-            Mutex.unlock t.cost_lock
-          end;
-          Some entry
-        end
-  in
-  match base with
+        let rows_out = group_rows t gid in
+        let width_out = group_width t gid in
+        let scan_rows =
+          match op with
+          | Expr.P_table_scan (td, _, _) | Expr.P_index_scan (td, _, _, _, _) ->
+              Stats.Relstats.rows (t.base td)
+          | _ -> 0.0
+        in
+        bump_by t.counters.a_op_costings 1;
+        let local =
+          Cost.Cost_model.op_cost t.model op ~rows_out ~width_out ~inputs
+            ~scan_rows ~out_dist:delivered.Props.ddist
+        in
+        let children_cost =
+          List.fold_left (fun acc b -> acc +. b.Memo.a_cost) 0.0 child_bests
+        in
+        let entry = (local, children_cost, delivered, child_derived) in
+        Mutex.lock t.cost_lock;
+        Hashtbl.replace t.cost_cache cache_key entry;
+        Mutex.unlock t.cost_lock;
+        Some entry
+      end
+
+(* Pass every enforcement alternative of one (gexpr, child-request vector)
+   in a context to [f], in [Props.enforcement_alternatives] order: the
+   chain walk tracks properties and incremental costs. [count] = false is
+   the derivation path, which must not move the work counters. *)
+let iter_chain_alternatives ?(count = true) t (ctx : Memo.context) gid
+    (ge : Memo.gexpr) child_reqs
+    (local, children_cost, delivered, child_derived)
+    (f : Memo.alternative -> unit) =
+  let rows_out = group_rows ~count t gid in
+  let width_out = group_width ~count t gid in
+  let base_cost = local +. children_cost in
+  List.iter
+    (fun chain ->
+      let _, enf_costs_rev, final_derived =
+        List.fold_left
+          (fun (d, costs, _) enf ->
+            let skew = redistribute_skew ~count t gid enf in
+            if count then bump_by t.counters.a_enf_costings 1;
+            let c =
+              Cost.Cost_model.enforcer_cost t.model enf ~rows:rows_out
+                ~width:width_out ~dist:d.Props.ddist ~skew
+            in
+            let d' = Props.apply_enforcer d enf in
+            (d', c :: costs, d'))
+          (delivered, [], delivered)
+          chain
+      in
+      let enf_costs = List.rev enf_costs_rev in
+      f
+        {
+          Memo.a_gexpr = ge;
+          a_child_reqs = child_reqs;
+          a_child_derived = child_derived;
+          a_enforcers = chain;
+          a_enf_costs = enf_costs;
+          a_local_cost = local;
+          a_cost = base_cost +. List.fold_left ( +. ) 0.0 enf_costs;
+          a_derived = final_derived;
+        })
+    (Props.enforcement_alternatives ~delivered ~required:ctx.Memo.cx_req)
+
+(* Cost one (gexpr, child-request vector) and offer every enforcement
+   alternative to the context. *)
+let cost_alternative t (ctx : Memo.context) (gid : int) (ge : Memo.gexpr)
+    (op : Expr.physical) (child_reqs : Props.req list) : unit =
+  match base_cost t gid ge op child_reqs with
   | None -> ()
-  | Some (local, children_cost, delivered, child_derived) ->
-    let rows_out = group_rows t gid in
-    let width_out = group_width t gid in
-    let base_cost = local +. children_cost in
-    let chains =
-      Props.enforcement_alternatives ~delivered ~required:ctx.Memo.cx_req
-    in
-    List.iter
-      (fun chain ->
-        (* walk the chain, tracking properties and incremental costs *)
-        let _, enf_costs_rev, final_derived =
-          List.fold_left
-            (fun (d, costs, _) enf ->
-              let skew = redistribute_skew t gid enf in
-              bump_by t.counters.a_enf_costings 1;
-              let c =
-                Cost.Cost_model.enforcer_cost t.model enf ~rows:rows_out
-                  ~width:width_out ~dist:d.Props.ddist ~skew
-              in
-              let d' = Props.apply_enforcer d enf in
-              (d', c :: costs, d'))
-            (delivered, [], delivered)
-            chain
-        in
-        let enf_costs = List.rev enf_costs_rev in
-        let total = base_cost +. List.fold_left ( +. ) 0.0 enf_costs in
-        bump_by t.counters.a_alternatives_costed 1;
-        Memo.record_alternative t.memo gid ctx
-          {
-            Memo.a_gexpr = ge;
-            a_child_reqs = child_reqs;
-            a_child_derived = child_derived;
-            a_enforcers = chain;
-            a_enf_costs = enf_costs;
-            a_local_cost = local;
-            a_cost = total;
-            a_derived = final_derived;
-          })
-      chains
+  | Some base ->
+      iter_chain_alternatives t ctx gid ge child_reqs base (fun alt ->
+          bump_by t.counters.a_alternatives_costed 1;
+          Memo.record_alternative t.memo gid ctx alt)
+
+let child_requests t (ge : Memo.gexpr) op req =
+  Requests.alternatives op ~req
+    ~child_out_cols:(List.map (Memo.output_cols t.memo) ge.Memo.ge_children)
+
+(* The alternatives costed in a context, rebuilt after costing (installed
+   as [Memo.alternatives]; DESIGN.md says why the rebuild is exact). The
+   direct driver costs the group's physical expressions, each one's
+   child-request vectors and each vector's enforcer chains in exactly this
+   order, from inputs that are fixed once costing is done: the Memo, the
+   base costs in [cost_cache] (a vector whose children had no winner was
+   never offered and has no entry) and the frozen row, width and skew
+   figures. So the list matches what costing offered, newest first, with
+   bit-identical costs; scheduled costing (workers > 1, speedups off)
+   offered the same alternatives in job order. *)
+let alternatives t gid (ctx : Memo.context) =
+  let gid = Memo.find t.memo gid in
+  let alts = ref [] in
+  List.iter
+    (fun (ge, op) ->
+      List.iter
+        (fun child_reqs ->
+          Mutex.lock t.cost_lock;
+          let key = (ge.Memo.ge_id, child_reqs) in
+          let base = Hashtbl.find_opt t.cost_cache key in
+          Mutex.unlock t.cost_lock;
+          Option.iter
+            (fun base ->
+              iter_chain_alternatives ~count:false t ctx gid ge child_reqs base
+                (fun alt -> alts := alt :: !alts))
+            base)
+        (child_requests t ge op ctx.Memo.cx_req))
+    (Memo.physical_exprs (Memo.group t.memo gid));
+  !alts
 
 (* --- Opt(g, req) / Opt(gexpr, req) --- *)
 
@@ -715,12 +752,7 @@ let rec opt_group_job t gid req () =
       else Gpos.Scheduler.Wait_for jobs
 
 and opt_gexpr_job t ctx gid ge op req =
-  let alternatives =
-    lazy
-      (Requests.alternatives op ~req
-         ~child_out_cols:
-           (List.map (Memo.output_cols t.memo) ge.Memo.ge_children))
-  in
+  let alternatives = lazy (child_requests t ge op req) in
   let stage = ref `Spawn in
   fun () ->
     match !stage with
@@ -827,9 +859,7 @@ and opt_gexpr_direct t ctx gid ge op req =
           (fun cg cr -> opt_group_direct t cg cr)
           children child_reqs;
       cost_alternative t ctx gid ge op child_reqs)
-    (Requests.alternatives op ~req
-       ~child_out_cols:
-         (List.map (Memo.output_cols t.memo) ge.Memo.ge_children))
+    (child_requests t ge op req)
 
 (* --- wait for a context to be complete, then finalize --- *)
 
@@ -883,6 +913,7 @@ let implement t =
 
 let optimize t (req : Props.req) =
   freeze_group_caches t;
+  Memo.set_alternatives t.memo (alternatives t);
   let root = Memo.root t.memo in
   if t.opt_workers = 1 && t.winner_reuse && not (Gpos.Trace.enabled ()) then
     opt_group_direct t root req

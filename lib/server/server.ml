@@ -294,7 +294,9 @@ type stats = {
   s_p99_ms : float;
 }
 
-let stats t =
+(* [slo] is the SLO window's report the quantiles are read from, taken by
+   the caller so [health] builds one report for both its uses. *)
+let stats_with t (slo : Sre.Slo.report) =
   Mutex.lock t.lock;
   let sessions = t.sessions in
   Mutex.unlock t.lock;
@@ -308,7 +310,6 @@ let stats t =
       sessions
   in
   let sum f = List.fold_left (fun acc row -> acc + f row) 0 per_session in
-  let slo = Sre.Slo.report t.slo in
   {
     s_requests = sum (fun (_, r, _) -> r);
     s_errors = sum (fun (_, _, e) -> e);
@@ -322,8 +323,11 @@ let stats t =
     s_p99_ms = slo.Sre.Slo.r_p99_ms;
   }
 
+let stats t = stats_with t (Sre.Slo.report t.slo)
+
 let health t =
-  let s = stats t in
+  let slo = Sre.Slo.report t.slo in
+  let s = stats_with t slo in
   let snapshot_age =
     Mutex.lock t.lock;
     let a = Gpos.Clock.now () -. t.last_md_change in
@@ -343,7 +347,7 @@ let health t =
       h_stats_version = st;
       h_cache_entries = s.s_cache.Plan_cache.entries;
       h_cache_capacity = Plan_cache.capacity t.cache;
-      h_slo = Some (Sre.Slo.report t.slo);
+      h_slo = Some slo;
     }
   in
   (input, Sre.Health.evaluate input)

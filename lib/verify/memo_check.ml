@@ -1,7 +1,7 @@
 (* Static analysis of the Memo after optimization (paper §4.1, Fig. 6): the
    winner linkage structure that plan extraction follows must be internally
    consistent — no dangling group references, every winner's child requests
-   resolved to child winners, winner costs minimal among the recorded
+   resolved to child winners, winner costs minimal among each context's
    alternatives, and the best-plan linkage acyclic. Accumulates diagnostics
    lint-style. *)
 
@@ -117,7 +117,7 @@ let check (memo : Memo.t) : Diagnostic.t list =
                       best.Memo.a_cost
                       (op_name alt.Memo.a_gexpr.Memo.ge_op)
                       alt.Memo.a_cost)
-                cx.Memo.cx_alts;
+                (Memo.alternatives memo gid cx);
               if not (Props.satisfies best.Memo.a_derived cx.Memo.cx_req) then
                 emit ~rule:rule_unsatisfied ~severity:Diagnostic.Error ~path
                   ~node "winner delivers %s, which does not satisfy %s"

@@ -1,8 +1,8 @@
 (** Memo analyzer (paper §4.1, Fig. 6): after optimization, checks that the
     winner linkage plan extraction follows is internally consistent — no
     dangling group references, every optimized context's winner has winners
-    for all its child requests, winner cost is minimal among the recorded
-    alternatives, delivered properties satisfy each request, and the
+    for all its child requests, winner cost is minimal among the context's
+    alternatives ([Memo.alternatives]), delivered properties satisfy each request, and the
     best-plan linkage is acyclic. Lint-style; nothing raises.
 
     Rule ids: [memo/dangling-group], [memo/gexpr-ownership],

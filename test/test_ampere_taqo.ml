@@ -189,6 +189,16 @@ let test_correlation_score_perfect_and_inverted () =
   Alcotest.(check bool) "inverted ordering -> -1" true
     (Orca.Taqo.correlation_score inverted < -0.99)
 
+(* TAQO's sampling scan walks each context's alternatives in list order,
+   so any drift in the order or the costs of the derived lists moves the
+   sample: pin q75's sampled plans and its plan count. *)
+let test_taqo_q75_pinned () =
+  let plans, count = Alt_digest.taqo_q75 ~accessor:Fixtures.tpcds_accessor in
+  Alcotest.(check (list string)) "q75 sampled plan DXL digests"
+    Alt_digests_fixture.taqo_q75_plans plans;
+  Alcotest.(check (float 0.0)) "q75 plan count"
+    Alt_digests_fixture.taqo_q75_count count
+
 let suite =
   [
     Alcotest.test_case "dump roundtrip" `Quick test_dump_roundtrip;
@@ -202,5 +212,6 @@ let suite =
     Alcotest.test_case "sampled plans equivalent" `Slow test_sampled_plans_valid_and_equivalent;
     Alcotest.test_case "sampled costs vary" `Quick test_sampled_costs_vary;
     Alcotest.test_case "taqo outcome" `Quick test_taqo_outcome;
+    Alcotest.test_case "taqo q75 sample pinned" `Quick test_taqo_q75_pinned;
     Alcotest.test_case "correlation score" `Quick test_correlation_score_perfect_and_inverted;
   ]

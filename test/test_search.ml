@@ -126,7 +126,7 @@ let test_project_blocks_lost_columns () =
         (Sortspec.is_empty child.Props.rorder)
   | _ -> Alcotest.fail "expected one alternative"
 
-(* Deep invariant: after optimizing a real query, every recorded alternative
+(* Deep invariant: after optimizing a real query, every costed alternative
    delivers properties satisfying its context's request, every child context
    it references exists with a best plan, and the context best is minimal. *)
 let test_context_invariants () =
@@ -158,7 +158,7 @@ let test_context_invariants () =
                             (cctx.Memo.cx_best <> None)
                       | None -> Alcotest.fail "dangling child context")
                     alt.Memo.a_gexpr.Memo.ge_children alt.Memo.a_child_reqs)
-                ctx.Memo.cx_alts
+                (Memo.alternatives memo gid ctx)
           | None -> ()))
         (Memo.contexts_of_group memo gid))
     (Memo.group_ids memo);
@@ -221,6 +221,41 @@ let test_index_scan_end_to_end () =
   Alcotest.(check bool) "correct result" true
     (Fixtures.rows_equal rows (Exec.Naive.run cluster query))
 
+(* Contexts keep only their winner; [Memo.alternatives] rebuilds the rest.
+   Over all 111 TPC-DS queries the rebuilt lists must be the lists costing
+   recorded, pinned by test/alt_digests_fixture.ml (generated from the
+   eagerly recorded lists, see Alt_digest): same alternatives in the same
+   order with bit-identical costs, and the same root plan count, under the
+   default configuration. The scheduled configurations offer alternatives
+   in job order, so there the lists need only hold the same alternatives. *)
+let test_derived_alternatives_exact () =
+  let accessor = Fixtures.tpcds_accessor in
+  let alternatives = Memo.alternatives in
+  List.iter
+    (fun (qid, ordered, multiset, count) ->
+      let q = Tpcds.Queries.get qid in
+      let d =
+        Alt_digest.digest ~alternatives ~accessor
+          ~config:Alt_digest.default_config q
+      in
+      Alcotest.(check string) (Printf.sprintf "q%d: lists" qid) ordered
+        d.Alt_digest.ordered;
+      Alcotest.(check string) (Printf.sprintf "q%d: multisets" qid) multiset
+        d.Alt_digest.multiset;
+      Alcotest.(check (float 0.0)) (Printf.sprintf "q%d: plan count" qid)
+        count d.Alt_digest.count;
+      List.iter
+        (fun (label, config) ->
+          let d = Alt_digest.digest ~alternatives ~accessor ~config q in
+          Alcotest.(check string)
+            (Printf.sprintf "q%d, %s: multisets" qid label)
+            multiset d.Alt_digest.multiset)
+        Alt_digest.other_configs)
+    Alt_digests_fixture.rows;
+  Alcotest.(check int) "every query pinned"
+    (Tpcds.Queries.count ())
+    (List.length Alt_digests_fixture.rows)
+
 let suite =
   [
     Alcotest.test_case "join request schedules" `Quick test_join_request_schedules;
@@ -228,6 +263,8 @@ let suite =
     Alcotest.test_case "filter pass-through" `Quick test_filter_passes_request_through;
     Alcotest.test_case "project blocks lost cols" `Quick test_project_blocks_lost_columns;
     Alcotest.test_case "context invariants" `Quick test_context_invariants;
+    Alcotest.test_case "derived alternatives exact (111 queries)" `Quick
+      test_derived_alternatives_exact;
     Alcotest.test_case "goal queue effectiveness" `Quick test_goal_queue_effectiveness;
     Alcotest.test_case "timeout still plans" `Quick test_timeout_still_produces_plan;
     Alcotest.test_case "index scan end to end" `Quick test_index_scan_end_to_end;

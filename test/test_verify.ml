@@ -174,14 +174,17 @@ let test_memo_corruptions () =
         "cleared child winner -> missing-winner" true
         (has_rule Verify.Memo_check.rule_missing_winner diags)
   | _ -> Alcotest.fail "root winner has no children to corrupt");
-  (* 2. record an alternative cheaper than the winner *)
-  let cheaper =
-    { best with Memolib.Memo.a_cost = (best.Memolib.Memo.a_cost /. 2.0) -. 1.0 }
+  (* 2. crown the costliest alternative, so a cheaper one exists *)
+  let costliest =
+    List.fold_left
+      (fun (a : Memolib.Memo.alternative) (b : Memolib.Memo.alternative) ->
+        if b.Memolib.Memo.a_cost > a.Memolib.Memo.a_cost then b else a)
+      best
+      (Memolib.Memo.alternatives memo root rcx)
   in
-  let saved_alts = rcx.Memolib.Memo.cx_alts in
-  rcx.Memolib.Memo.cx_alts <- cheaper :: saved_alts;
+  rcx.Memolib.Memo.cx_best <- Some costliest;
   let diags = Verify.Memo_check.check memo in
-  rcx.Memolib.Memo.cx_alts <- saved_alts;
+  rcx.Memolib.Memo.cx_best <- Some best;
   Alcotest.(check bool)
     "cheaper alternative -> non-minimal-winner" true
     (has_rule Verify.Memo_check.rule_non_minimal diags);

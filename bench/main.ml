@@ -634,14 +634,6 @@ let opt_speed () =
   let cfg_on = orca_config () in
   let cfg_off = Orca.Orca_config.without_speedups cfg_on in
   let cfg_obs = Orca.Orca_config.with_obs cfg_on in
-  (* per-query on-config latencies go through the same log-bucketed
-     histogram production telemetry uses, so the p50/p95/p99 written to
-     the JSON carry the documented ~4.4% rank-error bound *)
-  let lat_reg = Telemetry.Metrics.create () in
-  let lat_hist =
-    Telemetry.Metrics.histogram lat_reg
-      ~help:"opt-speed on-config latency (ms)" "bench_opt_on_ms"
-  in
   let rows = ref [] in
   let mismatches = ref [] in
   List.iter
@@ -693,7 +685,6 @@ let opt_speed () =
               qid r_on.Orca.Optimizer.groups r_off.Orca.Optimizer.groups
               r_on.Orca.Optimizer.gexprs r_off.Orca.Optimizer.gexprs
             :: !mismatches;
-        Telemetry.Metrics.observe lat_hist r_on.Orca.Optimizer.opt_time_ms;
         let r_obs = opt cfg_obs in
         let obs = Option.get r_obs.Orca.Optimizer.obs in
         let fired, prefiltered =
@@ -756,10 +747,17 @@ let opt_speed () =
   let intern_hits =
     sum (fun (_, _, _, o, _, _) -> o.Obs.Report.memo.Obs.Report.m_intern_hits)
   in
-  let lat = Telemetry.Metrics.hsnap lat_hist in
-  let p50 = Telemetry.Metrics.quantile lat 0.50 in
-  let p95 = Telemetry.Metrics.quantile lat 0.95 in
-  let p99 = Telemetry.Metrics.quantile lat 0.99 in
+  (* nearest-rank quantiles of the per-query on-config times *)
+  let on_sorted =
+    Array.of_list
+      (List.sort Float.compare
+         (List.map (fun (_, r, _, _, _, _) -> r.Orca.Optimizer.opt_time_ms) rows))
+  in
+  let quantile q =
+    if n = 0 then 0.0
+    else on_sorted.(max 0 (int_of_float (Float.ceil (q *. float_of_int n)) - 1))
+  in
+  let p50 = quantile 0.50 and p95 = quantile 0.95 and p99 = quantile 0.99 in
   Printf.printf
     "\ntotal: %d queries  on=%.1f ms  off=%.1f ms  (%.2fx total, %.2fx \
      geomean)\n"

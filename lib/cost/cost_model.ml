@@ -181,7 +181,7 @@ let op_cost (t : t) (op : Expr.physical) ~(rows_out : float)
       let bytes = n *. i.width in
       nlog2n n *. t.sort_factor *. t.cpu_tuple_cost
       +. spill_cost t ~state_bytes:bytes ~stream_bytes:bytes
-  | Expr.P_limit (_, _, _) -> out_per_seg *. t.cpu_tuple_cost *. 0.1
+  | Expr.P_limit _ -> out_per_seg *. t.cpu_tuple_cost *. 0.1
   | Expr.P_motion m -> (
       let i = in0 () in
       let tuple_net w = t.net_tuple_cost +. (w *. t.net_byte_cost) in

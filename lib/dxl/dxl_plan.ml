@@ -141,7 +141,7 @@ let rec to_xml (p : Expr.plan) : Xml.element =
         ()
   | Expr.P_sort spec ->
       elem "dxl:Sort" ~extra:[ Xml.Element (Dxl_scalar.sortspec_to_xml spec) ] ()
-  | Expr.P_limit (sort, offset, count) ->
+  | Expr.P_limit (sort, offset, count, _) ->
       elem "dxl:Limit"
         ~attrs:
           ([ ("Offset", string_of_int offset) ]
@@ -352,7 +352,8 @@ let rec of_xml (e : Xml.element) : Expr.plan =
         Expr.P_limit
           ( sort,
             int_of_string (Xml.attr_exn e "Offset"),
-            Option.map int_of_string (Xml.attr e "Count") )
+            Option.map int_of_string (Xml.attr e "Count"),
+            Expr.no_limit_slots )
     | "dxl:GatherMotion" -> Expr.P_motion Expr.Gather
     | "dxl:GatherMergeMotion" ->
         Expr.P_motion

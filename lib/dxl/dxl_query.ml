@@ -116,7 +116,7 @@ let rec logical_to_xml (t : Ltree.t) : Xml.element =
         ~children:
           (Dxl_scalar.window_payload_to_children partition order wfuncs
           @ children)
-  | Expr.L_limit (sort, offset, count) ->
+  | Expr.L_limit (sort, offset, count, _) ->
       Xml.element "dxl:LogicalLimit"
         ~attrs:
           ([ ("Offset", string_of_int offset) ]
@@ -271,7 +271,7 @@ let rec logical_of_xml (e : Xml.element) : Ltree.t =
       in
       let offset = int_of_string (Xml.attr_exn e "Offset") in
       let count = Option.map int_of_string (Xml.attr e "Count") in
-      Ltree.make (Expr.L_limit (sort, offset, count)) op_children
+      Ltree.make (Expr.L_limit (sort, offset, count, Expr.no_limit_slots)) op_children
   | "dxl:LogicalApply" ->
       let corr =
         Xml.child_elements (Xml.find_child_exn e "dxl:CorrelatedColumnRefs")

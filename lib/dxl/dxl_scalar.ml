@@ -41,7 +41,7 @@ let arith_of_string s =
 let rec to_xml (s : Expr.scalar) : Xml.element =
   match s with
   | Expr.Col c -> colref_to_xml c
-  | Expr.Const d ->
+  | Expr.Const d | Expr.Slot (_, d) ->
       Xml.element "dxl:Const" ~attrs:[ ("Value", Datum.serialize d) ]
   | Expr.Cmp (op, a, b) ->
       Xml.element "dxl:Comparison"

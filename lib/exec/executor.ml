@@ -475,7 +475,7 @@ and eval_node (ctx : ctx) ~(params : Datum.t Colref.Map.t) (p : Expr.plan) :
         (fun rows -> check_memory ctx (rows_bytes rows) ~stream_bytes:(rows_bytes rows))
         segs;
       Array.map (fun rows -> List.stable_sort cmp rows) segs
-  | Expr.P_limit (_, offset, count) ->
+  | Expr.P_limit (_, offset, count, _) ->
       let segs = eval ctx ~params (child 0) in
       let take rows =
         let rec drop n = function

@@ -112,7 +112,7 @@ let rec eval (cluster : Cluster.t) ~(params : Datum.t Colref.Map.t)
       let rows = eval cluster ~params ~cte (child 0) in
       let schema = schema_of 0 in
       naive_window ~params schema partition worder wfuncs rows
-  | Expr.L_limit (sort, offset, count) ->
+  | Expr.L_limit (sort, offset, count, _) ->
       let rows = eval cluster ~params ~cte (child 0) in
       let schema = schema_of 0 in
       let rows =

@@ -25,7 +25,7 @@ let cycle_wrap_limit =
               let off = List.length (Scalar_ops.conjuncts pred) in
               [
                 Mexpr.logical_of_groups
-                  (Expr.L_limit (Sortspec.empty, off, None))
+                  (Expr.L_limit (Sortspec.empty, off, None, Expr.no_limit_slots))
                   [ g ];
               ]
           | _ -> [])
@@ -37,7 +37,7 @@ let cycle_wrap_select =
     ~produces:[ Logical_ops.S_select ]
     (fun _ctx _memo ge ->
       match Rule.logical_op ge with
-      | Some (Expr.L_limit (_, off, _)) -> (
+      | Some (Expr.L_limit (_, off, _, _)) -> (
           match ge.Memo.ge_children with
           | [ g ] ->
               (* [false] conjuncts, not [true]: Scalar_ops.conjuncts drops

@@ -42,6 +42,13 @@ and scalar =
   | Coalesce of scalar list
   | Cast of scalar * Dtype.t
   | Subplan of subplan
+  | Slot of int * Datum.t
+      (* a literal of the request text: its 1-based parameter slot (the [$k]
+         of the normalized text) and its value, read exactly like [Const].
+         A negative slot [-k] marks a constant folded from literal [k]. The
+         slot tells the plan cache which constant a request parameter
+         rebinds, so structural equality keeps two literals of equal value
+         apart: no rewrite may merge them. *)
 
 and subplan_kind =
   | Sp_scalar                      (* value of single-row single-col subplan *)
@@ -91,7 +98,8 @@ and logical =
   | L_gb_agg of agg_phase * Colref.t list * agg list (* 1 child *)
   | L_window of Colref.t list * Sortspec.t * wfunc list
       (* 1 child: partition columns, intra-partition order, functions *)
-  | L_limit of Sortspec.t * int * int option   (* 1 child: order, offset, count *)
+  | L_limit of Sortspec.t * int * int option * limit_slots
+      (* 1 child: order, offset, count *)
   | L_apply of apply_kind * Colref.t list      (* 2 children; correlated outer cols *)
   | L_cte_producer of int                      (* 1 child: materialized CTE body *)
   | L_cte_anchor of int                        (* 2 children: producer, main body *)
@@ -115,7 +123,8 @@ and physical =
   | P_hash_agg of agg_phase * Colref.t list * agg list
   | P_stream_agg of agg_phase * Colref.t list * agg list
   | P_sort of Sortspec.t
-  | P_limit of Sortspec.t * int * int option   (* order, offset, count *)
+  | P_limit of Sortspec.t * int * int option * limit_slots
+      (* order, offset, count *)
   | P_motion of motion
   | P_cte_producer of int
   | P_cte_consumer of int * Colref.t list
@@ -125,6 +134,10 @@ and physical =
   | P_partition_selector of int list
       (* dynamic partition elimination: restricts sibling scans at run time *)
 
+(* The parameter slots of a LIMIT's offset and count literals (see [Slot]);
+   0 where the value was not written as a literal. *)
+and limit_slots = { offset_slot : int; count_slot : int }
+
 and plan = {
   pop : physical;
   pchildren : plan list;
@@ -132,6 +145,8 @@ and plan = {
   pest_rows : float;
   pcost : float;
 }
+
+let no_limit_slots = { offset_slot = 0; count_slot = 0 }
 
 (* An operator as stored in the Memo. *)
 type op = Logical of logical | Physical of physical

@@ -57,7 +57,7 @@ let used_cols (op : logical) : Colref.Set.t =
       Colref.Set.union
         (Colref.Set.of_list (partition @ Sortspec.cols order))
         (Scalar_ops.free_cols_of_list (List.filter_map (fun w -> w.wf_arg) wfuncs))
-  | L_limit (sort, _, _) -> Colref.Set.of_list (Sortspec.cols sort)
+  | L_limit (sort, _, _, _) -> Colref.Set.of_list (Sortspec.cols sort)
   | L_apply ((Apply_in (e, _) | Apply_not_in (e, _)), outer) ->
       Colref.Set.union (Scalar_ops.free_cols e) (Colref.Set.of_list outer)
   | L_apply (_, outer) -> Colref.Set.of_list outer
@@ -226,7 +226,7 @@ let to_string (op : logical) =
         (String.concat ", " (List.map Colref.to_string keys))
         (String.concat ", " (List.map agg_to_string aggs))
   | L_window (partition, order, wfuncs) -> window_to_string partition order wfuncs
-  | L_limit (sort, offset, count) ->
+  | L_limit (sort, offset, count, _) ->
       Printf.sprintf "Limit(%s, offset=%d, count=%s)" (Sortspec.to_string sort)
         offset
         (match count with None -> "all" | Some c -> string_of_int c)
@@ -260,7 +260,7 @@ let fingerprint (op : logical) : int =
       h (4, phase, List.map Colref.id keys, Hashtbl.hash aggs)
   | L_window (partition, order, wfuncs) ->
       h (12, List.map Colref.id partition, Hashtbl.hash order, Hashtbl.hash wfuncs)
-  | L_limit (sort, offset, count) -> h (5, Hashtbl.hash sort, offset, count)
+  | L_limit (sort, offset, count, _) -> h (5, Hashtbl.hash sort, offset, count)
   | L_apply (k, outer) -> h (6, Hashtbl.hash k, List.map Colref.id outer)
   | L_cte_anchor id -> h (7, id)
   | L_cte_producer id -> h (11, id)

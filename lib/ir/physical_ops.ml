@@ -91,7 +91,7 @@ let derive (op : physical) (children : Props.derived list) : Props.derived =
         dorder = [ Sortspec.asc idx.Table_desc.idx_col ];
       }
   | P_filter _ | P_cte_producer _ | P_partition_selector _ -> child 0
-  | P_limit (sort, _, _) ->
+  | P_limit (sort, _, _, _) ->
       (* limit preserves its declared order (it runs after the sort) *)
       let c = child 0 in
       if Sortspec.is_empty sort then c else { c with Props.dorder = sort }
@@ -276,7 +276,7 @@ let to_string (op : physical) =
   | P_window (partition, order, wfuncs) ->
       Logical_ops.window_to_string partition order wfuncs
   | P_sort spec -> "Sort" ^ Sortspec.to_string spec
-  | P_limit (sort, offset, count) ->
+  | P_limit (sort, offset, count, _) ->
       Printf.sprintf "Limit(%s, offset=%d, count=%s)" (Sortspec.to_string sort)
         offset
         (match count with None -> "all" | Some c -> string_of_int c)
@@ -320,6 +320,40 @@ let class_name (op : physical) =
   | P_set _ -> "set"
   | P_const_table _ -> "const-table"
   | P_partition_selector _ -> "partition-selector"
+
+(* Rewrite every scalar of the operator's payload with [f]. *)
+let map_scalars f (op : physical) : physical =
+  let fo = Option.map f in
+  match op with
+  | P_table_scan (td, parts, filter) -> P_table_scan (td, parts, fo filter)
+  | P_index_scan (td, idx, cmp, key, residual) ->
+      P_index_scan (td, idx, cmp, f key, fo residual)
+  | P_filter pred -> P_filter (f pred)
+  | P_project projs ->
+      P_project (List.map (fun p -> { p with proj_expr = f p.proj_expr }) projs)
+  | P_hash_join (k, keys, residual) ->
+      P_hash_join (k, List.map (fun (a, b) -> (f a, f b)) keys, fo residual)
+  | P_merge_join (k, keys, residual) -> P_merge_join (k, keys, fo residual)
+  | P_nl_join (k, pred) -> P_nl_join (k, f pred)
+  | P_window (partition, order, wfuncs) ->
+      P_window
+        (partition, order, List.map (fun w -> { w with wf_arg = fo w.wf_arg }) wfuncs)
+  | P_hash_agg (phase, keys, aggs) ->
+      P_hash_agg
+        (phase, keys, List.map (fun a -> { a with agg_arg = fo a.agg_arg }) aggs)
+  | P_stream_agg (phase, keys, aggs) ->
+      P_stream_agg
+        (phase, keys, List.map (fun a -> { a with agg_arg = fo a.agg_arg }) aggs)
+  | P_motion (Redistribute es) -> P_motion (Redistribute (List.map f es))
+  | P_motion _ | P_sort _ | P_limit _ | P_cte_producer _ | P_cte_consumer _
+  | P_sequence _ | P_set _ | P_const_table _ | P_partition_selector _ ->
+      op
+
+(* Every scalar of the operator's payload, in [map_scalars] order. *)
+let scalars (op : physical) : scalar list =
+  let acc = ref [] in
+  ignore (map_scalars (fun s -> acc := s :: !acc; s) op);
+  List.rev !acc
 
 let fingerprint (op : physical) : int = Hashtbl.hash op
 

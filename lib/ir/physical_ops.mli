@@ -30,5 +30,12 @@ val class_name : physical -> string
 (** Stable kebab-case operator class ("hash-join", "motion-broadcast", …)
     used to aggregate cardinality accuracy per operator class (lib/prov). *)
 
+val map_scalars : (scalar -> scalar) -> physical -> physical
+(** Rewrite every scalar of the operator's payload (filters, keys,
+    projections, aggregate and window arguments, redistribution keys). *)
+
+val scalars : physical -> scalar list
+(** Every scalar {!map_scalars} visits, in the same order. *)
+
 val fingerprint : physical -> int
 val equal : physical -> physical -> bool

@@ -121,43 +121,15 @@ let validate (p : plan) =
           (Physical_ops.to_string node.pop)
           (Colref.Set.to_string (Colref.Set.diff free visible))
     in
-    (match node.pop with
-    | P_table_scan (_, _, Some f) -> check_scalar f
-    | P_index_scan (_, _, _, e, residual) ->
-        check_scalar e;
-        Option.iter check_scalar residual
-    | P_filter pred -> check_scalar pred
-    | P_project projs -> List.iter (fun pr -> check_scalar pr.proj_expr) projs
-    | P_hash_join (_, keys, residual) ->
-        List.iter
-          (fun (a, b) ->
-            check_scalar a;
-            check_scalar b)
-          keys;
-        Option.iter check_scalar residual
-    | P_nl_join (_, cond) -> check_scalar cond
-    | P_hash_agg (_, _, aggs) | P_stream_agg (_, _, aggs) ->
-        List.iter (fun a -> Option.iter check_scalar a.agg_arg) aggs
-    | P_window (_, _, wfuncs) ->
-        List.iter (fun w -> Option.iter check_scalar w.wf_arg) wfuncs
-    | P_motion (Redistribute es) -> List.iter check_scalar es
-    | _ -> ());
+    let scalars = Physical_ops.scalars node.pop in
+    List.iter check_scalar scalars;
     (* Subplans inside scalars are validated with their parameters visible. *)
     let subplans = ref [] in
-    let collect s =
-      let rec go_s s =
-        (match s with Subplan sp -> subplans := sp :: !subplans | _ -> ());
-        Scalar_ops.iter_children go_s s
-      in
-      go_s s
+    let rec collect s =
+      (match s with Subplan sp -> subplans := sp :: !subplans | _ -> ());
+      Scalar_ops.iter_children collect s
     in
-    (match node.pop with
-    | P_table_scan (_, _, Some f) -> collect f
-    | P_filter pred -> collect pred
-    | P_project projs -> List.iter (fun pr -> collect pr.proj_expr) projs
-    | P_nl_join (_, cond) -> collect cond
-    | P_hash_join (_, _, Some r) -> collect r
-    | _ -> ());
+    List.iter collect scalars;
     List.iter
       (fun sp ->
         let param_cols =

@@ -54,7 +54,7 @@ let rec eval ?(subplan = no_subplan) (env : env) (s : scalar) : Datum.t =
   let e x = eval ~subplan env x in
   match s with
   | Col c -> env c
-  | Const d -> d
+  | Const d | Slot (_, d) -> d
   | Cmp (op, a, b) -> cmp_eval op (e a) (e b)
   | And cs ->
       (* three-valued AND: false dominates, then null *)
@@ -147,18 +147,24 @@ and eval_subplan ~subplan env (sp : subplan) : Datum.t =
 let eval_pred ?subplan env s =
   match eval ?subplan env s with Datum.Bool true -> true | _ -> false
 
-(* Constant folding: evaluate subexpressions with no column references. *)
+(* Constant folding: evaluate subexpressions with no column references. A
+   value computed from a literal of the request is marked as folded from
+   its first slot, so the plan cache never rebinds that slot; the other
+   literals folded into it leave the expression altogether. *)
 let fold_constants (s : scalar) : scalar =
   Scalar_ops.map
     (fun sub ->
       match sub with
-      | Const _ | Col _ -> None
+      | Const _ | Slot _ | Col _ -> None
       | Subplan _ -> None
       | _ ->
           if
             Colref.Set.is_empty (Scalar_ops.free_cols sub)
             && not (Scalar_ops.contains_subplan sub)
           then
-            Some (Const (eval (fun _ -> Datum.Null) sub))
+            let v = eval (fun _ -> Datum.Null) sub in
+            match Scalar_ops.slots sub with
+            | [] -> Some (Const v)
+            | k :: _ -> Some (Slot (-abs k, v))
           else None)
     s

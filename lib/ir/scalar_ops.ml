@@ -5,7 +5,7 @@ open Expr
 let rec to_string (s : scalar) =
   match s with
   | Col c -> Colref.to_string c
-  | Const d -> Datum.to_string d
+  | Const d | Slot (_, d) -> Datum.to_string d
   | Cmp (op, a, b) ->
       Printf.sprintf "(%s %s %s)" (to_string a) (cmp_to_string op) (to_string b)
   | And cs -> "(" ^ String.concat " AND " (List.map to_string cs) ^ ")"
@@ -45,7 +45,7 @@ let rec to_string (s : scalar) =
 (* Iterate over immediate sub-expressions. *)
 let iter_children f (s : scalar) =
   match s with
-  | Col _ | Const _ -> ()
+  | Col _ | Const _ | Slot _ -> ()
   | Cmp (_, a, b) | Arith (_, a, b) ->
       f a;
       f b
@@ -67,7 +67,7 @@ let rec map (f : scalar -> scalar option) (s : scalar) : scalar =
   | None -> (
       let r = map f in
       match s with
-      | Col _ | Const _ -> s
+      | Col _ | Const _ | Slot _ -> s
       | Cmp (op, a, b) -> Cmp (op, r a, r b)
       | Arith (op, a, b) -> Arith (op, r a, r b)
       | And cs -> And (List.map r cs)
@@ -123,7 +123,7 @@ let substitute (mapping : Colref.t Colref.Map.t) (s : scalar) : scalar =
 let rec conjuncts (s : scalar) : scalar list =
   match s with
   | And cs -> List.concat_map conjuncts cs
-  | Const (Datum.Bool true) -> []
+  | Const (Datum.Bool true) | Slot (_, Datum.Bool true) -> []
   | s -> [ s ]
 
 let conjoin = function
@@ -161,7 +161,8 @@ let extract_equi_keys ~outer_cols ~inner_cols (cond : scalar) =
 let rec type_of (s : scalar) : Dtype.t =
   match s with
   | Col c -> Colref.ty c
-  | Const d -> ( match Datum.type_of d with Some t -> t | None -> Dtype.Int)
+  | Const d | Slot (_, d) -> (
+      match Datum.type_of d with Some t -> t | None -> Dtype.Int)
   | Cmp _ | And _ | Or _ | Not _ | Is_null _ | Like _ | In_list _ -> Dtype.Bool
   | Arith (Div, _, _) -> Dtype.Float
   | Arith (_, a, b) ->
@@ -197,7 +198,7 @@ let rec fingerprint (s : scalar) : int =
   let h xs = Hashtbl.hash xs in
   match s with
   | Col c -> h (0, Colref.id c)
-  | Const d -> h (1, Datum.hash d)
+  | Const d | Slot (_, d) -> h (1, Datum.hash d)
   | Cmp (op, a, b) -> h (2, op, fingerprint a, fingerprint b)
   | And cs -> h (3, List.map fingerprint cs)
   | Or cs -> h (4, List.map fingerprint cs)
@@ -214,6 +215,20 @@ let rec fingerprint (s : scalar) : int =
   | Coalesce cs -> h (11, List.map fingerprint cs)
   | Cast (c, ty) -> h (12, fingerprint c, ty)
   | Subplan sp -> h (13, Hashtbl.hash sp)
+
+(* [s] with every slot constant turned back into a plain one. *)
+let erase_slots s =
+  map (function Slot (_, d) -> Some (Const d) | _ -> None) s
+
+(* The slots of [s] (negative for folded constants), in evaluation order. *)
+let slots (s : scalar) : int list =
+  let acc = ref [] in
+  let rec go s =
+    (match s with Slot (k, _) -> acc := k :: !acc | _ -> ());
+    iter_children go s
+  in
+  go s;
+  List.rev !acc
 
 let equal (a : scalar) (b : scalar) = Stdlib.compare a b = 0
 

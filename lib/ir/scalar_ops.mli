@@ -35,9 +35,20 @@ val type_of : scalar -> Dtype.t
 val contains_subplan : scalar -> bool
 
 val fingerprint : scalar -> int
-(** Structural hash for Memo duplicate detection. *)
+(** Structural hash for Memo duplicate detection; a slot constant hashes
+    like the plain constant. *)
+
+val erase_slots : scalar -> scalar
+(** Every {!Expr.Slot} constant replaced by the plain [Const] of its value:
+    what a DXL round trip keeps of the expression. *)
+
+val slots : scalar -> int list
+(** The slots of the expression's slot constants, negative for folded ones,
+    in evaluation order. *)
 
 val equal : scalar -> scalar -> bool
+(** Structural equality. Slots count: two literals of the text are
+    different constants, even when their values are equal. *)
 
 val like_match : pattern:string -> string -> bool
 (** SQL LIKE with [%] and [_]; shared by the executor and selectivity

@@ -35,8 +35,8 @@ let default_sel = 0.25
 
 let rec pred_selectivity (p : Expr.scalar) : float =
   match p with
-  | Expr.Const (Datum.Bool true) -> 1.0
-  | Expr.Const (Datum.Bool false) -> 0.0
+  | Expr.Const (Datum.Bool true) | Expr.Slot (_, Datum.Bool true) -> 1.0
+  | Expr.Const (Datum.Bool false) | Expr.Slot (_, Datum.Bool false) -> 0.0
   | Expr.Cmp (Expr.Eq, _, _) -> eq_sel
   | Expr.Cmp (_, _, _) -> range_sel
   | Expr.And ps -> List.fold_left (fun a p -> a *. pred_selectivity p) 1.0 ps
@@ -236,7 +236,7 @@ let rec plan_tree (t : t) (tree : Ltree.t) : sub =
           node (Expr.P_window (partition, worder, wfuncs)) [ s.plan ] ~rows:s.rows;
         rows = s.rows;
       }
-  | Expr.L_limit (sort, offset, count), [ c ] ->
+  | Expr.L_limit (sort, offset, count, slots), [ c ] ->
       let s = plan_tree t c in
       let s = gather s in
       let s =
@@ -249,7 +249,7 @@ let rec plan_tree (t : t) (tree : Ltree.t) : sub =
         | Some n -> Float.min s.rows (float_of_int n)
       in
       {
-        plan = node (Expr.P_limit (sort, offset, count)) [ s.plan ] ~rows;
+        plan = node (Expr.P_limit (sort, offset, count, slots)) [ s.plan ] ~rows;
         rows;
       }
   | Expr.L_apply (kind, corr), [ outer; inner ] -> plan_apply t kind corr outer inner

@@ -84,8 +84,8 @@ let denote_physical (p : Expr.physical) (children : Ltree.t list) : Ltree.t =
     ->
       Ltree.make (Expr.L_gb_agg (phase, keys, aggs)) [ child 0 ]
   | Expr.P_sort _ -> child 0 (* bag semantics: order is a property, not content *)
-  | Expr.P_limit (sort, offset, count) ->
-      Ltree.make (Expr.L_limit (sort, offset, count)) [ child 0 ]
+  | Expr.P_limit (sort, offset, count, slots) ->
+      Ltree.make (Expr.L_limit (sort, offset, count, slots)) [ child 0 ]
   | Expr.P_motion m -> not_denotable "motion %s" (Physical_ops.motion_to_string m)
   | Expr.P_cte_producer id -> Ltree.make (Expr.L_cte_producer id) [ child 0 ]
   | Expr.P_cte_consumer (id, cols) -> Ltree.leaf (Expr.L_cte_consumer (id, cols))

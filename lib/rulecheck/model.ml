@@ -221,7 +221,7 @@ let cases rng : (string * Ltree.t) list =
                [ { Expr.wf_kind = Expr.W_row_number; wf_arg = None; wf_out = col_w1 } ] ))
           [ get t1 ] );
       ( "limit",
-        Ltree.make (Expr.L_limit ([ Sortspec.asc col_a ], 1, Some 4)) [ get t1 ] );
+        Ltree.make (Expr.L_limit ([ Sortspec.asc col_a ], 1, Some 4, Expr.no_limit_slots)) [ get t1 ] );
       ( "set-union",
         Ltree.make (Expr.L_set (Expr.Union_all, [ col_u1; col_u2 ]))
           [ proj_t1; proj_t3 ] );

@@ -339,7 +339,7 @@ let cost_lints ?(label = "cost-model") (model : Cost.Cost_model.t) :
             [ { Expr.wf_kind = Expr.W_row_number; wf_arg = None; wf_out = Model.col_w1 } ] ),
         1 );
       ("sort", Expr.P_sort [ Sortspec.asc a ], 1);
-      ("limit", Expr.P_limit ([ Sortspec.asc a ], 0, Some 10), 1);
+      ("limit", Expr.P_limit ([ Sortspec.asc a ], 0, Some 10, Expr.no_limit_slots), 1);
       ("cte-producer", Expr.P_cte_producer 7, 1);
       ("cte-consumer", Expr.P_cte_consumer (7, [ a ]), 0);
       ("set-union", Expr.P_set (Expr.Union_all, [ a ]), 2);

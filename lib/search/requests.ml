@@ -152,7 +152,7 @@ let alternatives (op : Expr.physical) ~(req : Props.req)
       in
       List.map (fun d -> [ { Props.rdist = d; rorder = order } ]) dists
   | Expr.P_sort _ -> [ [ any ] ]
-  | Expr.P_limit (sort, _, _) ->
+  | Expr.P_limit (sort, _, _, _) ->
       (* a global limit runs on the master over ordered input *)
       [ [ { Props.rdist = Props.Req_singleton; rorder = sort } ] ]
   | Expr.P_motion _ -> [ [ any ] ]

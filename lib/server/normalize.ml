@@ -14,35 +14,29 @@ type t = {
   fingerprint : string;  (* FNV-1a digest of [text] *)
 }
 
-let datum_of_token (tok : Sqlfront.Token.t) : Datum.t option =
-  match tok with
-  | Sqlfront.Token.INT n -> Some (Datum.Int n)
-  | Sqlfront.Token.FLOAT f -> Some (Datum.Float f)
-  | Sqlfront.Token.STRING s -> Some (Datum.String s)
-  | _ -> None
-
+(* The literal tokens lifted here are exactly the ones the parser numbers
+   as parameter slots, in the same order. *)
 let normalize raw =
   let toks = Sqlfront.Lexer.tokenize raw in
   let buf = Buffer.create (String.length raw) in
   let params = ref [] in
   let nparams = ref 0 in
+  let param d =
+    incr nparams;
+    params := d :: !params;
+    Printf.sprintf "$%d" !nparams
+  in
   List.iter
-    (fun tok ->
+    (fun (tok : Sqlfront.Token.t) ->
       let piece =
-        match datum_of_token tok with
-        | Some d ->
-            incr nparams;
-            params := d :: !params;
-            Printf.sprintf "$%d" !nparams
-        | None -> (
-            match tok with
-            | Sqlfront.Token.IDENT s -> s (* already lowercased by the lexer *)
-            | Sqlfront.Token.KEYWORD k -> k
-            | Sqlfront.Token.SYMBOL s -> s
-            | Sqlfront.Token.EOF -> ""
-            | Sqlfront.Token.INT _ | Sqlfront.Token.FLOAT _
-            | Sqlfront.Token.STRING _ ->
-                assert false)
+        match tok with
+        | INT n -> param (Datum.Int n)
+        | FLOAT f -> param (Datum.Float f)
+        | STRING s -> param (Datum.String s)
+        | IDENT s -> s (* already lowercased by the lexer *)
+        | KEYWORD k -> k
+        | SYMBOL s -> s
+        | EOF -> ""
       in
       if piece <> "" then begin
         if Buffer.length buf > 0 then Buffer.add_char buf ' ';
@@ -62,5 +56,3 @@ let normalize raw =
    so distinct vectors cannot collide. *)
 let params_key params =
   String.concat "\x00" (List.map Datum.serialize params)
-
-let param_to_string = Datum.to_string

@@ -19,5 +19,3 @@ val normalize : string -> t
 val params_key : Datum.t list -> string
 (** Canonical, collision-free rendering of a parameter vector — the
     binding-variant key inside a cache entry. *)
-
-val param_to_string : Datum.t -> string

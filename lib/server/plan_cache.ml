@@ -8,11 +8,11 @@
    the cached plan unchanged, which is byte-identical to a fresh
    optimization because the optimizer is deterministic for a fixed snapshot
    (audited end to end by `bench serve`). A request whose parameters differ
-   from every cached variant takes the generic-plan route: the most recent
-   variant is parameter-rebound — its constants substituted in place — when
-   that is provably unambiguous, and otherwise counts as a miss and gets its
-   own variant. Rebound plans are returned but never cached, so stored
-   variants always come from the optimizer.
+   from every cached variant takes the generic-plan route: a variant's plan
+   is rebound — each changed parameter written into the constants of its
+   slot — when every changed slot can be placed, and otherwise the request
+   counts as a miss and gets its own variant. Rebound plans are returned but
+   never cached, so stored variants always come from the optimizer.
 
    A variant also keeps the bytes an exact hit replies with: its plan's DXL,
    JSON-escaped. They are filled on the first exact hit that asks for them
@@ -23,196 +23,97 @@ open Ir
 
 (* ---------------- parameter rebinding ----------------------------- *)
 
-(* Substitute parameter values into a cached plan. The map sends each old
-   datum to its replacement; [applied] counts substitutions per old datum so
-   the caller can verify every changed parameter was accounted for. *)
-
-let subst_datum map applied d =
-  match Hashtbl.find_opt map d with
-  | Some d' ->
-      Hashtbl.replace applied d (1 + Option.value ~default:0 (Hashtbl.find_opt applied d));
-      d'
-  | None -> d
-
-let rec subst_scalar map applied (s : Expr.scalar) : Expr.scalar =
-  let r = subst_scalar map applied in
-  let rd = subst_datum map applied in
-  match s with
-  | Expr.Col _ -> s
-  | Expr.Const d -> Expr.Const (rd d)
-  | Expr.Cmp (op, a, b) -> Expr.Cmp (op, r a, r b)
-  | Expr.Arith (op, a, b) -> Expr.Arith (op, r a, r b)
-  | Expr.And cs -> Expr.And (List.map r cs)
-  | Expr.Or cs -> Expr.Or (List.map r cs)
-  | Expr.Coalesce cs -> Expr.Coalesce (List.map r cs)
-  | Expr.Not c -> Expr.Not (r c)
-  | Expr.Is_null c -> Expr.Is_null (r c)
-  | Expr.Cast (c, ty) -> Expr.Cast (r c, ty)
-  | Expr.Like (c, pat) -> (
-      let c = r c in
-      match Hashtbl.find_opt map (Datum.String pat) with
-      | Some (Datum.String pat') ->
-          Hashtbl.replace applied (Datum.String pat)
-            (1
-            + Option.value ~default:0
-                (Hashtbl.find_opt applied (Datum.String pat)));
-          Expr.Like (c, pat')
-      | _ -> Expr.Like (c, pat))
-  | Expr.In_list (c, ds) -> Expr.In_list (r c, List.map rd ds)
-  | Expr.Case (whens, els) ->
-      Expr.Case
-        (List.map (fun (c, v) -> (r c, r v)) whens, Option.map r els)
-  | Expr.Subplan sp ->
-      Expr.Subplan { sp with Expr.sp_plan = subst_plan map applied sp.Expr.sp_plan }
-
-and subst_proj map applied (p : Expr.proj) =
-  { p with Expr.proj_expr = subst_scalar map applied p.Expr.proj_expr }
-
-and subst_pop map applied (pop : Expr.physical) : Expr.physical =
-  let r = subst_scalar map applied in
-  let ro = Option.map r in
-  match pop with
-  | Expr.P_table_scan (td, parts, filter) ->
-      Expr.P_table_scan (td, parts, ro filter)
-  | Expr.P_index_scan (td, idx, cmp, key, residual) ->
-      Expr.P_index_scan (td, idx, cmp, r key, ro residual)
-  | Expr.P_filter f -> Expr.P_filter (r f)
-  | Expr.P_project projs -> Expr.P_project (List.map (subst_proj map applied) projs)
-  | Expr.P_hash_join (k, keys, residual) ->
-      Expr.P_hash_join (k, List.map (fun (a, b) -> (r a, r b)) keys, ro residual)
-  | Expr.P_merge_join (k, keys, residual) ->
-      Expr.P_merge_join (k, keys, ro residual)
-  | Expr.P_nl_join (k, pred) -> Expr.P_nl_join (k, r pred)
-  | Expr.P_window (parts, order, wfs) ->
-      Expr.P_window
-        ( parts,
-          order,
-          List.map (fun w -> { w with Expr.wf_arg = ro w.Expr.wf_arg }) wfs )
-  | Expr.P_hash_agg (ph, keys, aggs) ->
-      Expr.P_hash_agg
-        (ph, keys, List.map (fun a -> { a with Expr.agg_arg = ro a.Expr.agg_arg }) aggs)
-  | Expr.P_stream_agg (ph, keys, aggs) ->
-      Expr.P_stream_agg
-        (ph, keys, List.map (fun a -> { a with Expr.agg_arg = ro a.Expr.agg_arg }) aggs)
-  | Expr.P_limit (order, offset, count) ->
-      (* LIMIT/OFFSET literals are parameters too, but the extracted plan
-         bakes them as ints: rebind through the Int datum mapping. *)
-      let ri n =
-        match Hashtbl.find_opt map (Datum.Int n) with
-        | Some (Datum.Int n') ->
-            Hashtbl.replace applied (Datum.Int n)
-              (1
-              + Option.value ~default:0 (Hashtbl.find_opt applied (Datum.Int n)));
-            n'
-        | _ -> n
-      in
-      Expr.P_limit (order, ri offset, Option.map ri count)
-  | Expr.P_motion (Expr.Redistribute es) ->
-      Expr.P_motion (Expr.Redistribute (List.map r es))
-  | Expr.P_motion _ | Expr.P_sort _ | Expr.P_cte_producer _
-  | Expr.P_cte_consumer _ | Expr.P_sequence _ | Expr.P_set _
-  | Expr.P_const_table _ | Expr.P_partition_selector _ ->
-      pop
-
-and subst_plan map applied (p : Expr.plan) : Expr.plan =
-  {
-    p with
-    Expr.pop = subst_pop map applied p.Expr.pop;
-    pchildren = List.map (subst_plan map applied) p.Expr.pchildren;
-  }
-
 (* Rebinding is refused when any static partition decision is baked into the
    plan: pruned scans and partition selectors were chosen for the *old*
    constants. *)
-let rec has_partition_decisions (p : Expr.plan) =
-  (match p.Expr.pop with
-  | Expr.P_table_scan (_, Some _, _) | Expr.P_partition_selector _ -> true
-  | _ -> false)
-  || List.exists has_partition_decisions p.Expr.pchildren
+let has_partition_decisions =
+  Plan_ops.contains (fun p ->
+      match p.Expr.pop with
+      | Expr.P_table_scan (_, Some _, _) | Expr.P_partition_selector _ -> true
+      | _ -> false)
 
-(* [rebind ~old_params ~new_params plan] substitutes the new parameter
-   vector into a cached plan, or returns [None] when the substitution would
-   be ambiguous or incomplete:
-   - vectors must agree in arity and per-position datum constructor;
-   - the old→new mapping must be a function (equal old values cannot map to
-     different new values) and changed old values must be pairwise distinct;
-   - every changed old value must actually be found (and replaced) in the
-     plan — a constant folded away or translated at bind time (e.g. a date
-     literal) fails the rebind rather than silently serving a stale value;
-   - plans with baked partition decisions are never rebound.
+exception Refused
+
+(* [rebind ~old_params ~new_params plan] writes the new parameter vector
+   into a plan optimized for [old_params], slot by slot: each [Slot (k, _)]
+   constant and LIMIT/OFFSET slot [k] takes parameter [k], typed like the
+   constant it replaces (a date literal's string parses as a Date), in
+   subplans too. It returns [None] when
+   - the vectors differ in arity or in a parameter's datum constructor;
+   - a changed slot occurs nowhere live in the plan: the binder used the
+     literal as structure or matched it with a twin, or it was folded away;
+   - a changed slot was folded into a derived constant;
+   - the plan holds partition decisions.
    Cost and cardinality annotations are kept from the cached plan: a rebound
    plan is a generic plan, its estimates are the shape's, not the values'. *)
 let rebind ~old_params ~new_params (plan : Expr.plan) : Expr.plan option =
-  if List.length old_params <> List.length new_params then None
-  else begin
-    let same_ctor a b =
-      match (a, b) with
-      | Datum.Int _, Datum.Int _
-      | Datum.Float _, Datum.Float _
-      | Datum.String _, Datum.String _
-      | Datum.Bool _, Datum.Bool _
-      | Datum.Date _, Datum.Date _
-      | Datum.Null, Datum.Null ->
-          true
-      | _ -> false
-    in
-    let map = Hashtbl.create 16 in
-    let consistent = ref true in
-    List.iter2
-      (fun o n ->
-        if not (same_ctor o n) then consistent := false
-        else if not (Datum.equal o n) then
-          match Hashtbl.find_opt map o with
-          | Some n' when not (Datum.equal n n') -> consistent := false
-          | _ -> Hashtbl.replace map o n)
-      old_params new_params;
-    (* a changed parameter whose old value equals an *unchanged* parameter's
-       value is ambiguous: the substitution could touch the wrong literal *)
-    List.iter
-      (fun o ->
-        if Hashtbl.mem map o then
-          let changed = Hashtbl.find map o in
-          List.iter2
-            (fun o' n' ->
-              if Datum.equal o o' && Datum.equal o' n'
-                 && not (Datum.equal changed n') then consistent := false)
-            old_params new_params)
-      old_params;
-    (* date literals are lifted as strings but bound as Date datums: extend
-       the mapping through the date translation *)
-    Hashtbl.iter
-      (fun o n ->
-        match (o, n) with
-        | Datum.String so, Datum.String sn -> (
-            match (Datum.date_of_string_opt so, Datum.date_of_string_opt sn) with
-            | Some od, Some nd ->
-                if not (Hashtbl.mem map od) then Hashtbl.replace map od nd
-            | _ -> ())
-        | _ -> ())
-      (Hashtbl.copy map);
-    if (not !consistent) || Hashtbl.length map = 0 then
-      if !consistent then Some plan (* identical vectors: nothing to do *)
-      else None
+  let old_a = Array.of_list old_params and new_a = Array.of_list new_params in
+  let n = Array.length old_a in
+  let same_type o p = Datum.type_of o = Datum.type_of p in
+  if n <> Array.length new_a || not (Array.for_all2 same_type old_a new_a) then
+    None
+  else
+    let changed = Array.map2 (fun o p -> not (Datum.equal o p)) old_a new_a in
+    if not (Array.exists Fun.id changed) then Some plan
     else if has_partition_decisions plan then None
-    else begin
-      let applied = Hashtbl.create 16 in
-      let plan' = subst_plan map applied plan in
-      (* every changed String param must be applied as String or as its Date
-         translation; other datums directly *)
-      let accounted o =
-        let hits d = Option.value ~default:0 (Hashtbl.find_opt applied d) in
-        match o with
-        | Datum.String s -> (
-            hits o > 0
-            || match Datum.date_of_string_opt s with
-               | Some od -> hits od > 0
-               | None -> false)
-        | _ -> hits o > 0
+    else
+      let live = Array.make n false in
+      (* slot [k]'s new value, typed like the plan's [old]; [None] keeps
+         [old] *)
+      let param k old =
+        let i = abs k - 1 in
+        if i < 0 then None
+        else if i >= n then raise Refused
+        else if not changed.(i) then None
+        else if k < 0 then raise Refused
+        else begin
+          live.(i) <- true;
+          match (old, new_a.(i)) with
+          | Datum.Date _, Datum.String s -> (
+              match Datum.date_of_string_opt s with
+              | Some d -> Some d
+              | None -> raise Refused)
+          | _, p -> Some p
+        end
       in
-      let ok = Hashtbl.fold (fun o _ acc -> acc && accounted o) map true in
-      if ok then Some plan' else None
-    end
-  end
+      let limit_value k n =
+        match param k (Datum.Int n) with
+        | None -> n
+        | Some (Datum.Int n) -> n
+        | Some _ -> raise Refused
+      in
+      let rec scalar s =
+        Scalar_ops.map
+          (function
+            | Expr.Slot (k, d) -> Option.map (fun d -> Expr.Slot (k, d)) (param k d)
+            | Expr.Subplan sp ->
+                let sp_kind =
+                  match sp.Expr.sp_kind with
+                  | Expr.Sp_in e -> Expr.Sp_in (scalar e)
+                  | Expr.Sp_not_in e -> Expr.Sp_not_in (scalar e)
+                  | k -> k
+                in
+                Some (Expr.Subplan { sp with Expr.sp_kind; sp_plan = subst sp.Expr.sp_plan })
+            | _ -> None)
+          s
+      and subst (p : Expr.plan) =
+        let pop =
+          match Physical_ops.map_scalars scalar p.Expr.pop with
+          | Expr.P_limit (order, offset, count, slots) ->
+              Expr.P_limit
+                ( order,
+                  limit_value slots.Expr.offset_slot offset,
+                  Option.map (limit_value slots.Expr.count_slot) count,
+                  slots )
+          | pop -> pop
+        in
+        { p with Expr.pop; pchildren = List.map subst p.Expr.pchildren }
+      in
+      match subst plan with
+      | plan' when Array.for_all2 (fun c l -> l || not c) changed live ->
+          Some plan'
+      | _ -> None
+      | exception Refused -> None
 
 (* ---------------- the cache proper --------------------------------- *)
 
@@ -343,24 +244,21 @@ let lookup t ~fp ~norm_text ~params ~catalog_version ~stats_version =
               Telemetry.Metrics.inc Telemetry.Std.plan_cache_hits;
               Exact v
           | None -> (
-              match entry.e_variants with
-              | [] ->
+              (* any variant is a valid source: the most recent that
+                 rebinds serves *)
+              match
+                List.find_map
+                  (fun v -> rebind ~old_params:v.v_params ~new_params:params v.v_plan)
+                  entry.e_variants
+              with
+              | Some plan ->
+                  t.rebinds <- t.rebinds + 1;
+                  Telemetry.Metrics.inc Telemetry.Std.plan_cache_hits;
+                  Rebind plan
+              | None ->
                   t.misses <- t.misses + 1;
                   Telemetry.Metrics.inc Telemetry.Std.plan_cache_misses;
-                  Absent
-              | recent :: _ -> (
-                  match
-                    rebind ~old_params:recent.v_params ~new_params:params
-                      recent.v_plan
-                  with
-                  | Some plan ->
-                      t.rebinds <- t.rebinds + 1;
-                      Telemetry.Metrics.inc Telemetry.Std.plan_cache_hits;
-                      Rebind plan
-                  | None ->
-                      t.misses <- t.misses + 1;
-                      Telemetry.Metrics.inc Telemetry.Std.plan_cache_misses;
-                      Absent))))
+                  Absent)))
 
 type outcome = Hit of Expr.plan | Rebound of Expr.plan | Miss
 

@@ -6,8 +6,9 @@
     detection) and a small MRU list of binding variants — one optimized plan
     per parameter vector. Exact-variant hits return the cached plan
     unchanged (byte-identical to fresh optimization for a fixed snapshot);
-    other parameter vectors are served by {!rebind} when unambiguous and
-    count as misses otherwise. Rebound plans are never stored. A variant
+    other parameter vectors are served by {!rebind}, substituting by
+    parameter slot, from the first variant (most recent first) that can be
+    rebound, and count as misses otherwise. Rebound plans are never stored. A variant
     keeps its reply bytes once an exact hit asks for them ({!plan_json}). All
     operations are thread-safe; counters feed both local {!stats} and the
     [orca_plan_cache_*] telemetry series. *)
@@ -42,7 +43,7 @@ val plan_json : variant -> string
 
 type lookup =
   | Exact of variant      (** exact binding variant *)
-  | Rebind of Expr.plan   (** generic plan with parameters substituted *)
+  | Rebind of Expr.plan   (** a variant's plan rebound to the parameters *)
   | Absent
 
 val lookup :
@@ -53,7 +54,9 @@ val lookup :
   catalog_version:int ->
   stats_version:int ->
   lookup
-(** Probe the cache and count the outcome (an exact variant is made MRU). *)
+(** Probe the cache and count the outcome (an exact variant is made MRU).
+    Without an exact variant, the variants are tried most recent first and
+    the first that {!rebind}s serves. *)
 
 type outcome =
   | Hit of Expr.plan      (** exact binding variant, returned unchanged *)
@@ -110,10 +113,14 @@ val rebind :
   new_params:Datum.t list ->
   Expr.plan ->
   Expr.plan option
-(** Substitute a new parameter vector into a cached plan (constants in
-    scalars, IN-lists, LIKE patterns, LIMIT/OFFSET, and date-literal
-    translations). Returns [None] when the substitution would be ambiguous
-    or incomplete: arity/type mismatch, a changed value colliding with an
-    unchanged one, a changed value not found in the plan, or baked partition
-    decisions. Cost/cardinality annotations stay those of the cached shape
+(** [rebind ~old_params ~new_params plan] rebinds a plan optimized for
+    [old_params] to [new_params] by parameter slot: every
+    {!Expr.Slot} constant and LIMIT/OFFSET slot [k] takes parameter [k],
+    typed like the value it replaces (a date literal's string parses as a
+    Date). Returns [None] when the vectors differ in arity or in a
+    parameter's datum constructor, when a changed slot occurs nowhere live
+    in the plan (used as structure or matched with a twin by the binder, or
+    folded away; LIKE patterns and IN lists carry no slot), when a changed slot was folded
+    into a derived constant, or when the plan holds partition decisions.
+    Cost/cardinality annotations stay those of the cached shape
     (generic-plan semantics). Exposed for tests. *)

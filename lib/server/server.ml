@@ -355,11 +355,8 @@ let health t =
 (* ---------------- the line protocol -------------------------------- *)
 
 let json_error msg =
-  let buf = Buffer.create (String.length msg + 32) in
-  Buffer.add_string buf {|{"ok":false,"error":|};
-  Gpos.Json.add_string buf msg;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  Gpos.Json.to_string
+    (Gpos.Json.Obj [ ("ok", Gpos.Json.Bool false); ("error", Gpos.Json.Str msg) ])
 
 (* The hot path. The plan (~17 KB of DXL on TPC-DS) comes last, after a
    flat header, because clients split the reply at the plan field. Its body
@@ -397,6 +394,11 @@ let json_of_reply ~include_plan (r : reply) =
   add_reply buf ~plan r;
   Buffer.contents buf
 
+(* Control replies: one [Gpos.Json] object behind the shared ["ok":true]
+   envelope. *)
+let ok_reply fields =
+  Gpos.Json.to_string (Gpos.Json.Obj (("ok", Gpos.Json.Bool true) :: fields))
+
 let json_of_stats t =
   let s = stats t in
   let c = s.s_cache in
@@ -405,21 +407,34 @@ let json_of_stats t =
   let hit_rate =
     if probes = 0 then 0.0 else float_of_int answered /. float_of_int probes
   in
-  let per_session =
-    String.concat ","
-      (List.map
-         (fun (sid, reqs, errs) ->
-           Printf.sprintf {|{"session":%d,"requests":%d,"errors":%d}|} sid reqs
-             errs)
-         s.s_per_session)
-  in
-  Printf.sprintf
-    {|{"ok":true,"requests":%d,"errors":%d,"uptime_s":%.3f,"hits":%d,"rebinds":%d,"misses":%d,"evictions":%d,"invalidations":%d,"collisions":%d,"entries":%d,"variants":%d,"hit_rate":%.4f,"p50_ms":%.4f,"p95_ms":%.4f,"p99_ms":%.4f,"sessions_open":%d,"sessions_total":%d,"per_session":[%s]}|}
-    s.s_requests s.s_errors s.s_uptime_s c.Plan_cache.hits c.Plan_cache.rebinds
-    c.Plan_cache.misses c.Plan_cache.evictions c.Plan_cache.invalidations
-    c.Plan_cache.collisions c.Plan_cache.entries c.Plan_cache.variants hit_rate
-    s.s_p50_ms s.s_p95_ms s.s_p99_ms s.s_sessions_open s.s_sessions_total
-    per_session
+  let n = Gpos.Json.int and f d x = Gpos.Json.Num (Gpos.Json.fixed d x) in
+  ok_reply
+    [
+      ("requests", n s.s_requests);
+      ("errors", n s.s_errors);
+      ("uptime_s", f 3 s.s_uptime_s);
+      ("hits", n c.Plan_cache.hits);
+      ("rebinds", n c.Plan_cache.rebinds);
+      ("misses", n c.Plan_cache.misses);
+      ("evictions", n c.Plan_cache.evictions);
+      ("invalidations", n c.Plan_cache.invalidations);
+      ("collisions", n c.Plan_cache.collisions);
+      ("entries", n c.Plan_cache.entries);
+      ("variants", n c.Plan_cache.variants);
+      ("hit_rate", f 4 hit_rate);
+      ("p50_ms", f 4 s.s_p50_ms);
+      ("p95_ms", f 4 s.s_p95_ms);
+      ("p99_ms", f 4 s.s_p99_ms);
+      ("sessions_open", n s.s_sessions_open);
+      ("sessions_total", n s.s_sessions_total);
+      ( "per_session",
+        Gpos.Json.Arr
+          (List.map
+             (fun (sid, reqs, errs) ->
+               Gpos.Json.Obj
+                 [ ("session", n sid); ("requests", n reqs); ("errors", n errs) ])
+             s.s_per_session) );
+    ]
 
 (* The !metrics endpoint: the Prometheus exposition of the process-wide
    registry, self-linted and shipped as one escaped JSON string so the
@@ -429,22 +444,17 @@ let json_of_metrics () =
   let snap = Telemetry.Metrics.snapshot Telemetry.Metrics.default in
   let prom = Telemetry.Expose.to_prometheus snap in
   let problems = Telemetry.Expose.lint_prometheus prom in
-  let buf = Buffer.create (String.length prom + 64) in
-  Printf.bprintf buf {|{"ok":true,"lint_errors":%d,"metrics":|}
-    (List.length problems);
-  Gpos.Json.add_string buf prom;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  ok_reply
+    [
+      ("lint_errors", Gpos.Json.int (List.length problems));
+      ("metrics", Gpos.Json.Str prom);
+    ]
 
 let json_of_health t =
   let input, verdict = health t in
-  let body = Sre.Health.to_json input verdict in
-  (* splice "ok":true into the health object so every reply shares the
-     envelope *)
-  Printf.sprintf {|{"ok":true,%s|} (String.sub body 1 (String.length body - 1))
+  ok_reply (Sre.Health.fields input verdict)
 
-let json_of_slo t =
-  Printf.sprintf {|{"ok":true,"slo":%s}|} (Sre.Slo.to_json (Sre.Slo.report t.slo))
+let json_of_slo t = ok_reply [ ("slo", Sre.Slo.json (Sre.Slo.report t.slo)) ]
 
 (* One request line: a plain line is SQL; [!]-prefixed lines are control
    commands:
@@ -484,9 +494,13 @@ let handle_line t ~session ~session_plan buf line =
         let target = if what = "catalog" then `Catalog else `Stats in
         let dropped, (cat, st) = invalidate t target in
         reply
-          (Printf.sprintf
-             {|{"ok":true,"invalidated":"%s","dropped":%d,"catalog_version":%d,"stats_version":%d}|}
-             what dropped cat st)
+          (ok_reply
+             [
+               ("invalidated", Gpos.Json.Str what);
+               ("dropped", Gpos.Json.int dropped);
+               ("catalog_version", Gpos.Json.int cat);
+               ("stats_version", Gpos.Json.int st);
+             ])
     | _ -> reply (json_error ("unknown control command: " ^ line))
   else
     match serve_sql ~session t line with

@@ -7,7 +7,14 @@ open Ir
    Subqueries become Apply operators; columns resolved through an enclosing
    scope are recorded as the Apply's correlation set. EXISTS/IN subqueries
    are accepted only in conjunct positions (where a semi-join rewrite is
-   sound); scalar subqueries are allowed anywhere in an expression. *)
+   sound); scalar subqueries are allowed anywhere in an expression.
+
+   A literal of the text binds to [Expr.Slot] with its parameter slot, so
+   the plan cache can rebind it; LIMIT/OFFSET keep theirs on [L_limit].
+   Literals the binder uses as structure (GROUP BY / ORDER BY positions),
+   negated literals, LIKE patterns, IN-list values and the literals of
+   expressions matched with a twin (see [twin_shapes]) bind without one: a
+   request that changes them never rebinds. *)
 
 let error fmt =
   Printf.ksprintf
@@ -96,17 +103,58 @@ type bind_env = {
 let fresh t ~name ~ty = Colref.Factory.fresh t.factory ~name ~ty
 
 let datum_of_literal = function
-  | Ast.E_int n -> Some (Datum.Int n)
-  | Ast.E_float f -> Some (Datum.Float f)
-  | Ast.E_string s -> Some (Datum.String s)
+  | Ast.E_int (n, _) -> Some (Datum.Int n)
+  | Ast.E_float (f, _) -> Some (Datum.Float f)
+  | Ast.E_string (s, _) -> Some (Datum.String s)
   | Ast.E_bool b -> Some (Datum.Bool b)
   | Ast.E_null -> Some Datum.Null
-  | Ast.E_date s -> Some (Datum.date_of_string s)
-  | Ast.E_neg (Ast.E_int n) -> Some (Datum.Int (-n))
-  | Ast.E_neg (Ast.E_float f) -> Some (Datum.Float (-.f))
+  | Ast.E_date (s, _) -> Some (Datum.date_of_string s)
+  | Ast.E_neg (Ast.E_int (n, _)) -> Some (Datum.Int (-n))
+  | Ast.E_neg (Ast.E_float (f, _)) -> Some (Datum.Float (-.f))
   | _ -> None
 
+(* A literal's constant: slot 0 marks one the text did not write. *)
+let literal slot d = if slot > 0 then Expr.Slot (slot, d) else Expr.Const d
+
 let ast_agg_equal (a : Ast.agg_call) (b : Ast.agg_call) = a = b
+
+(* The aggregate and window calls of [e], in text order; neither the calls'
+   arguments nor subqueries are entered. *)
+let calls_of (e : Ast.expr) =
+  let acc = ref [] in
+  Ast.iter
+    (function
+      | (Ast.E_agg _ | Ast.E_window _) as call ->
+          acc := call :: !acc;
+          false
+      | Ast.E_in_query _ -> false
+      | _ -> true)
+    e;
+  List.rev !acc
+
+let distinct xs =
+  List.fold_left (fun acc x -> if List.mem x acc then acc else acc @ [ x ]) [] xs
+
+(* The binder binds one expression for two that match as written: two calls
+   of one aggregate or window function, a SELECT item and its GROUP BY or
+   ORDER BY twin. [twin_shapes xs ys] are the shapes (see [Ast.shape]) an
+   [x] shares with a different occurrence [y]; [Ast.unslot_matched] clears
+   their literals' slots, so the twins still match and a request that
+   changes either one refuses the rebind. A literal-free expression equals
+   its twin outright. *)
+let twin_shapes (xs : Ast.expr list) (ys : Ast.expr list) =
+  List.filter_map
+    (fun x ->
+      let s = Ast.shape x in
+      if List.exists (fun y -> y <> x && Ast.shape y = s) ys then Some s else None)
+    xs
+
+let map_items f (core : Ast.select_core) =
+  {
+    core with
+    Ast.items =
+      List.map (fun it -> { it with Ast.item_expr = f it.Ast.item_expr }) core.Ast.items;
+  }
 
 let dtype_of_name = function
   | "int" | "integer" | "bigint" -> Dtype.Int
@@ -126,12 +174,12 @@ let rec bind_expr (t : t) (env : bind_env) (e : Ast.expr) : Expr.scalar =
             (match q with Some q -> q ^ "." | None -> "")
             name)
   | Ast.E_star -> error "* is only valid in SELECT lists and COUNT(*)"
-  | Ast.E_int n -> Expr.Const (Datum.Int n)
-  | Ast.E_float f -> Expr.Const (Datum.Float f)
-  | Ast.E_string s -> Expr.Const (Datum.String s)
+  | Ast.E_int (n, slot) -> literal slot (Datum.Int n)
+  | Ast.E_float (f, slot) -> literal slot (Datum.Float f)
+  | Ast.E_string (s, slot) -> literal slot (Datum.String s)
   | Ast.E_bool b -> Expr.Const (Datum.Bool b)
   | Ast.E_null -> Expr.Const Datum.Null
-  | Ast.E_date s -> Expr.Const (Datum.date_of_string s)
+  | Ast.E_date (s, slot) -> literal slot (Datum.date_of_string s)
   | Ast.E_cmp (op, a, b) ->
       let env' = { env with conjunct_ok = false } in
       Expr.Cmp (op, bind_expr t env' a, bind_expr t env' b)
@@ -150,6 +198,7 @@ let rec bind_expr (t : t) (env : bind_env) (e : Ast.expr) : Expr.scalar =
       let env' = { env with conjunct_ok = false } in
       Expr.Arith (op, bind_expr t env' a, bind_expr t env' b)
   | Ast.E_neg a ->
+      let a = match a with Ast.E_int _ | Ast.E_float _ -> Ast.unslot a | a -> a in
       Expr.Arith
         (Expr.Sub, Expr.Const (Datum.Int 0), bind_expr t { env with conjunct_ok = false } a)
   | Ast.E_is_null (a, negated) ->
@@ -304,6 +353,18 @@ and bind_from_item (t : t) (scope : scope) (item : Ast.from_item) :
 
 and bind_select_core (t : t) (outer : scope) (core : Ast.select_core) :
     Ltree.t * Colref.t list * (Expr.scalar * Colref.t) list =
+  let core =
+    let items = List.map (fun it -> it.Ast.item_expr) core.Ast.items in
+    let calls = List.concat_map calls_of (items @ Option.to_list core.Ast.having) in
+    let fix =
+      Ast.unslot_matched (twin_shapes calls calls @ twin_shapes items core.Ast.group_by)
+    in
+    {
+      (map_items fix core) with
+      Ast.group_by = List.map fix core.Ast.group_by;
+      having = Option.map fix core.Ast.having;
+    }
+  in
   (* FROM *)
   let tree, scope =
     match core.Ast.from with
@@ -344,37 +405,16 @@ and bind_select_core (t : t) (outer : scope) (core : Ast.select_core) :
         else Ltree.make (Expr.L_select (Scalar_ops.conjoin conjuncts)) [ tree ]
   in
   (* aggregate collection from SELECT items, HAVING *)
-  let agg_calls = ref [] in
-  let rec collect (e : Ast.expr) =
-    match e with
-    | Ast.E_agg call ->
-        if not (List.exists (fun c -> ast_agg_equal c call) !agg_calls) then
-          agg_calls := !agg_calls @ [ call ]
-    | Ast.E_cmp (_, a, b) | Ast.E_and (a, b) | Ast.E_or (a, b)
-    | Ast.E_arith (_, a, b) ->
-        collect a;
-        collect b
-    | Ast.E_not a | Ast.E_neg a | Ast.E_is_null (a, _) | Ast.E_cast (a, _)
-    | Ast.E_like (a, _) ->
-        collect a
-    | Ast.E_between (a, b, c) ->
-        collect a;
-        collect b;
-        collect c
-    | Ast.E_in_list (a, _) -> collect a
-    | Ast.E_case (whens, els) ->
-        List.iter
-          (fun (c, v) ->
-            collect c;
-            collect v)
-          whens;
-        Option.iter collect els
-    | Ast.E_func (_, args) -> List.iter collect args
-    | _ -> ()
+  let item_calls =
+    List.concat_map (fun it -> calls_of it.Ast.item_expr) core.Ast.items
   in
-  List.iter (fun item -> collect item.Ast.item_expr) core.Ast.items;
-  Option.iter collect core.Ast.having;
-  let has_aggregation = !agg_calls <> [] || core.Ast.group_by <> [] in
+  let agg_calls =
+    distinct
+      (List.filter_map
+         (function Ast.E_agg call -> Some call | _ -> None)
+         (item_calls @ List.concat_map calls_of (Option.to_list core.Ast.having)))
+  in
+  let has_aggregation = agg_calls <> [] || core.Ast.group_by <> [] in
   (* grouping expressions that are not plain columns (CASE buckets, aliases
      of computed items, positional references) are computed in a projection
      below the aggregate; SELECT items matching them are rewritten to the
@@ -398,9 +438,9 @@ and bind_select_core (t : t) (outer : scope) (core : Ast.select_core) :
                 with
                 | Some it -> `Expr it.Ast.item_expr
                 | None -> error "GROUP BY column %s not found" name))
-        | Ast.E_int n when n >= 1 && n <= List.length core.Ast.items ->
+        | Ast.E_int (n, _) when n >= 1 && n <= List.length core.Ast.items ->
             `Expr (List.nth core.Ast.items (n - 1)).Ast.item_expr
-        | Ast.E_int n ->
+        | Ast.E_int (n, _) ->
             error "GROUP BY position %d is not in the select list (1..%d)" n
               (List.length core.Ast.items)
         | e -> `Expr e
@@ -495,7 +535,7 @@ and bind_select_core (t : t) (outer : scope) (core : Ast.select_core) :
               | name, _ -> error "unknown aggregate %s" name
             in
             (call, scalar))
-          !agg_calls
+          agg_calls
       in
       ( Ltree.make (Expr.L_gb_agg (Expr.One_phase, group_cols, !aggs)) [ tree ],
         agg_env )
@@ -513,37 +553,11 @@ and bind_select_core (t : t) (outer : scope) (core : Ast.select_core) :
   in
   (* window functions: collect calls from the SELECT items, group them by
      (partition, order) spec, and stack one L_window per spec *)
-  let window_calls = ref [] in
-  let rec collect_windows (e : Ast.expr) =
-    match e with
-    | Ast.E_window call ->
-        if not (List.mem call !window_calls) then
-          window_calls := !window_calls @ [ call ]
-    | Ast.E_cmp (_, a, b) | Ast.E_and (a, b) | Ast.E_or (a, b)
-    | Ast.E_arith (_, a, b) ->
-        collect_windows a;
-        collect_windows b
-    | Ast.E_not a | Ast.E_neg a | Ast.E_is_null (a, _) | Ast.E_cast (a, _)
-    | Ast.E_like (a, _) ->
-        collect_windows a
-    | Ast.E_between (a, b, c) ->
-        collect_windows a;
-        collect_windows b;
-        collect_windows c
-    | Ast.E_in_list (a, _) -> collect_windows a
-    | Ast.E_case (whens, els) ->
-        List.iter
-          (fun (c, v) ->
-            collect_windows c;
-            collect_windows v)
-          whens;
-        Option.iter collect_windows els
-    | Ast.E_func (_, args) -> List.iter collect_windows args
-    | _ -> ()
+  let window_calls =
+    distinct (List.filter_map (function Ast.E_window w -> Some w | _ -> None) item_calls)
   in
-  List.iter (fun (it : Ast.select_item) -> collect_windows it.Ast.item_expr) core.Ast.items;
   let tree, window_env =
-    if !window_calls = [] then (tree, [])
+    if window_calls = [] then (tree, [])
     else begin
       let env0 =
         { scope; aggs = agg_env; windows = []; pending = ref []; conjunct_ok = false }
@@ -628,7 +642,7 @@ and bind_select_core (t : t) (outer : scope) (core : Ast.select_core) :
               | name -> error "unknown window function %s" name
             in
             (call, scalar))
-          !window_calls
+          window_calls
       in
       let tree =
         List.fold_left
@@ -742,13 +756,29 @@ and bind_query_internal (t : t) (scope : scope) (q : Ast.query) :
         info)
       q.Ast.ctes
   in
+  let q =
+    match q.Ast.body with
+    | Ast.Select core ->
+        let fix =
+          Ast.unslot_matched
+            (twin_shapes
+               (List.map (fun it -> it.Ast.item_expr) core.Ast.items)
+               (List.map fst q.Ast.order_by))
+        in
+        {
+          q with
+          Ast.body = Ast.Select (map_items fix core);
+          order_by = List.map (fun (e, dir) -> (fix e, dir)) q.Ast.order_by;
+        }
+    | Ast.Setop _ -> q
+  in
   let tree, out, bindings = bind_body t scope q.Ast.body in
   let order_scope = Option.value !last_scope ~default:scope in
   (* sorting / limit: resolve against output names, positions, or the bound
      expressions of the SELECT items (aliases included) *)
   let resolve_order_col (e : Ast.expr) : Colref.t =
     match e with
-    | Ast.E_int n when n >= 1 && n <= List.length out -> List.nth out (n - 1)
+    | Ast.E_int (n, _) when n >= 1 && n <= List.length out -> List.nth out (n - 1)
     | _ -> (
         let by_name =
           match e with
@@ -801,7 +831,8 @@ and bind_query_internal (t : t) (scope : scope) (q : Ast.query) :
     | None, None -> tree
     | limit, offset ->
         Ltree.make
-          (Expr.L_limit (sort, Option.value offset ~default:0, limit))
+          (Expr.L_limit
+             (sort, Option.value offset ~default:0, limit, q.Ast.limit_slots))
           [ tree ]
   in
   (* wrap used CTEs in anchors, innermost = first defined *)

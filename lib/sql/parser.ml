@@ -4,7 +4,12 @@
    UNION [ALL] / INTERSECT / EXCEPT, scalar/IN/EXISTS subqueries,
    CASE, BETWEEN, LIKE, IS [NOT] NULL, CAST, aggregates. *)
 
-type t = { mutable toks : Token.t list }
+type t = {
+  mutable toks : Token.t list;
+  mutable nlits : int;
+      (* INT/FLOAT/STRING tokens consumed so far: after consuming a literal,
+         its parameter slot *)
+}
 
 let error fmt =
   Printf.ksprintf
@@ -15,7 +20,13 @@ let peek p = match p.toks with tok :: _ -> tok | [] -> Token.EOF
 
 let peek2 p = match p.toks with _ :: tok :: _ -> tok | _ -> Token.EOF
 
-let advance p = match p.toks with _ :: rest -> p.toks <- rest | [] -> ()
+let advance p =
+  match p.toks with
+  | (Token.INT _ | Token.FLOAT _ | Token.STRING _) :: rest ->
+      p.nlits <- p.nlits + 1;
+      p.toks <- rest
+  | _ :: rest -> p.toks <- rest
+  | [] -> ()
 
 let eat p tok =
   if peek p = tok then advance p
@@ -43,11 +54,12 @@ let ident p =
       s
   | tok -> error "expected identifier, found %s" (Token.to_string tok)
 
+(* An integer literal and its slot. *)
 let int_lit p =
   match peek p with
   | Token.INT n ->
       advance p;
-      n
+      (n, p.nlits)
   | tok -> error "expected integer, found %s" (Token.to_string tok)
 
 (* --- expressions, by precedence --- *)
@@ -210,13 +222,13 @@ and parse_primary p : Ast.expr =
   match peek p with
   | Token.INT n ->
       advance p;
-      Ast.E_int n
+      Ast.E_int (n, p.nlits)
   | Token.FLOAT f ->
       advance p;
-      Ast.E_float f
+      Ast.E_float (f, p.nlits)
   | Token.STRING s ->
       advance p;
-      Ast.E_string s
+      Ast.E_string (s, p.nlits)
   | Token.KEYWORD "NULL" ->
       advance p;
       Ast.E_null
@@ -231,7 +243,7 @@ and parse_primary p : Ast.expr =
       (match peek p with
       | Token.STRING s ->
           advance p;
-          Ast.E_date s
+          Ast.E_date (s, p.nlits)
       | tok -> error "expected date string, found %s" (Token.to_string tok))
   | Token.KEYWORD "CASE" ->
       advance p;
@@ -550,7 +562,8 @@ and parse_select_core p : Ast.select_core =
             if sym p "," then one_set (exprs :: acc)
             else List.rev (exprs :: acc)
           in
-          let sets = one_set [] in
+          (* sets share their expressions, so their literals are structure *)
+          let sets = List.map (List.map Ast.unslot) (one_set []) in
           expect_sym p ")";
           (* the generator list = first occurrence of each expression *)
           let cols =
@@ -658,10 +671,18 @@ and parse_query p : Ast.query =
   in
   let limit = if kw p "LIMIT" then Some (int_lit p) else None in
   let offset = if kw p "OFFSET" then Some (int_lit p) else None in
-  { Ast.ctes; body; order_by; limit; offset }
+  let slot = function Some (_, k) -> k | None -> 0 in
+  {
+    Ast.ctes;
+    body;
+    order_by;
+    limit = Option.map fst limit;
+    offset = Option.map fst offset;
+    limit_slots = { Ir.Expr.offset_slot = slot offset; count_slot = slot limit };
+  }
 
 let parse (sql : string) : Ast.query =
-  let p = { toks = Lexer.tokenize sql } in
+  let p = { toks = Lexer.tokenize sql; nlits = 0 } in
   let q = parse_query p in
   let _ = sym p ";" in
   (match peek p with

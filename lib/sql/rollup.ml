@@ -10,61 +10,24 @@
    comes first, which also gives the set-operation its column types. *)
 
 (* Replace every occurrence of a rolled-away grouping expression with NULL.
-   The AST is pure data, so structural equality identifies occurrences; a
-   rolled-away expression nested inside a bigger item (e.g. [d_year + 1])
-   becomes NULL there too, and SQL NULL propagation does the rest. *)
-let rec null_out (rolled : Ast.expr list) (e : Ast.expr) : Ast.expr =
-  if List.exists (fun r -> r = e) rolled then Ast.E_null
-  else
-    let n = null_out rolled in
-    match e with
-    | Ast.E_col _ | Ast.E_star | Ast.E_int _ | Ast.E_float _ | Ast.E_string _
-    | Ast.E_bool _ | Ast.E_null | Ast.E_date _ ->
-        e
-    | Ast.E_cmp (op, a, b) -> Ast.E_cmp (op, n a, n b)
-    | Ast.E_and (a, b) -> Ast.E_and (n a, n b)
-    | Ast.E_or (a, b) -> Ast.E_or (n a, n b)
-    | Ast.E_not a -> Ast.E_not (n a)
-    | Ast.E_arith (op, a, b) -> Ast.E_arith (op, n a, n b)
-    | Ast.E_neg a -> Ast.E_neg (n a)
-    | Ast.E_is_null (a, neg) -> Ast.E_is_null (n a, neg)
-    | Ast.E_between (a, lo, hi) -> Ast.E_between (n a, n lo, n hi)
-    | Ast.E_in_list (a, vs) -> Ast.E_in_list (n a, List.map n vs)
-    | Ast.E_in_query (a, q, neg) -> Ast.E_in_query (n a, q, neg)
-    | Ast.E_exists (q, neg) -> Ast.E_exists (q, neg)
-    | Ast.E_scalar_subquery q -> Ast.E_scalar_subquery q
-    | Ast.E_like (a, pat) -> Ast.E_like (n a, pat)
-    | Ast.E_case (whens, els) ->
-        Ast.E_case
-          (List.map (fun (c, v) -> (n c, n v)) whens, Option.map n els)
-    | Ast.E_func (name, args) -> Ast.E_func (name, List.map n args)
-    (* aggregate arguments keep the original expression: aggregates are
-       computed over the arm's groups, not over the rolled-away columns *)
-    | Ast.E_agg _ | Ast.E_window _ -> e
-    | Ast.E_cast (a, ty) -> Ast.E_cast (n a, ty)
+   The AST is pure data, so equality identifies occurrences; a rolled-away
+   expression nested inside a bigger item (e.g. [d_year + 1]) becomes NULL
+   there too, and SQL NULL propagation does the rest. Aggregate arguments
+   keep the original expression: aggregates are computed over the arm's
+   groups, not over the rolled-away columns. *)
+let null_out (rolled : Ast.expr list) : Ast.expr -> Ast.expr =
+  Ast.map (fun e ->
+      if List.mem e rolled then Some Ast.E_null
+      else match e with Ast.E_agg _ | Ast.E_window _ -> Some e | _ -> None)
 
 (* Resolve GROUPING(e) calls: 1 when [e] is rolled away in this arm, 0 when
    it is kept. Runs before [null_out] so the argument is still intact. *)
-let rec resolve_grouping (rolled : Ast.expr list) (e : Ast.expr) : Ast.expr =
-  let n = resolve_grouping rolled in
-  match e with
-  | Ast.E_func ("GROUPING", [ arg ]) ->
-      Ast.E_int (if List.exists (fun r -> r = arg) rolled then 1 else 0)
-  | Ast.E_cmp (op, a, b) -> Ast.E_cmp (op, n a, n b)
-  | Ast.E_and (a, b) -> Ast.E_and (n a, n b)
-  | Ast.E_or (a, b) -> Ast.E_or (n a, n b)
-  | Ast.E_not a -> Ast.E_not (n a)
-  | Ast.E_arith (op, a, b) -> Ast.E_arith (op, n a, n b)
-  | Ast.E_neg a -> Ast.E_neg (n a)
-  | Ast.E_is_null (a, neg) -> Ast.E_is_null (n a, neg)
-  | Ast.E_between (a, lo, hi) -> Ast.E_between (n a, n lo, n hi)
-  | Ast.E_in_list (a, vs) -> Ast.E_in_list (n a, List.map n vs)
-  | Ast.E_like (a, pat) -> Ast.E_like (n a, pat)
-  | Ast.E_case (whens, els) ->
-      Ast.E_case (List.map (fun (c, v) -> (n c, n v)) whens, Option.map n els)
-  | Ast.E_func (name, args) -> Ast.E_func (name, List.map n args)
-  | Ast.E_cast (a, ty) -> Ast.E_cast (n a, ty)
-  | _ -> e
+let resolve_grouping (rolled : Ast.expr list) : Ast.expr -> Ast.expr =
+  Ast.map (function
+    | Ast.E_func ("GROUPING", [ arg ]) ->
+        Some (Ast.E_int ((if List.mem arg rolled then 1 else 0), 0))
+    | (Ast.E_in_query _ | Ast.E_agg _ | Ast.E_window _) as e -> Some e
+    | _ -> None)
 
 (* One UNION ALL arm for the grouping set selected by [mask] (bit i set =
    grouping expression i kept): resolve GROUPING() calls, then NULL the
@@ -110,6 +73,18 @@ let masks (mode : Ast.group_mode) (n : int) : int list =
       List.stable_sort (fun a b -> compare (popcount b) (popcount a)) ms
 
 let expand_core (core : Ast.select_core) : Ast.body =
+  (* the arms match the select list against the grouping expressions, so
+     both lose their literals' slots *)
+  let fix = Ast.unslot_matched (List.map Ast.shape core.Ast.group_by) in
+  let core =
+    {
+      core with
+      Ast.items =
+        List.map (fun it -> { it with Ast.item_expr = fix it.Ast.item_expr }) core.Ast.items;
+      group_by = List.map fix core.Ast.group_by;
+      having = Option.map fix core.Ast.having;
+    }
+  in
   let n = List.length core.Ast.group_by in
   match masks core.Ast.group_mode n with
   | [] -> Ast.Select (arm core ((1 lsl n) - 1))
@@ -132,32 +107,16 @@ let rec expand_body (b : Ast.body) : Ast.body =
 (* Recurse into FROM subqueries and subquery expressions so nested ROLLUPs
    expand too. *)
 and expand_in_core (core : Ast.select_core) : Ast.select_core =
-  let rec in_expr (e : Ast.expr) : Ast.expr =
-    match e with
-    | Ast.E_in_query (a, q, neg) -> Ast.E_in_query (in_expr a, expand_query q, neg)
-    | Ast.E_exists (q, neg) -> Ast.E_exists (expand_query q, neg)
-    | Ast.E_scalar_subquery q -> Ast.E_scalar_subquery (expand_query q)
-    | Ast.E_cmp (op, a, b) -> Ast.E_cmp (op, in_expr a, in_expr b)
-    | Ast.E_and (a, b) -> Ast.E_and (in_expr a, in_expr b)
-    | Ast.E_or (a, b) -> Ast.E_or (in_expr a, in_expr b)
-    | Ast.E_not a -> Ast.E_not (in_expr a)
-    | Ast.E_arith (op, a, b) -> Ast.E_arith (op, in_expr a, in_expr b)
-    | Ast.E_neg a -> Ast.E_neg (in_expr a)
-    | Ast.E_is_null (a, neg) -> Ast.E_is_null (in_expr a, neg)
-    | Ast.E_between (a, lo, hi) ->
-        Ast.E_between (in_expr a, in_expr lo, in_expr hi)
-    | Ast.E_in_list (a, vs) -> Ast.E_in_list (in_expr a, List.map in_expr vs)
-    | Ast.E_like (a, pat) -> Ast.E_like (in_expr a, pat)
-    | Ast.E_case (whens, els) ->
-        Ast.E_case
-          ( List.map (fun (c, v) -> (in_expr c, in_expr v)) whens,
-            Option.map in_expr els )
-    | Ast.E_func (name, args) -> Ast.E_func (name, List.map in_expr args)
-    | Ast.E_cast (a, ty) -> Ast.E_cast (in_expr a, ty)
-    | Ast.E_col _ | Ast.E_star | Ast.E_int _ | Ast.E_float _ | Ast.E_string _
-    | Ast.E_bool _ | Ast.E_null | Ast.E_date _ | Ast.E_agg _ | Ast.E_window _
-      ->
-        e
+  let rec in_expr e =
+    Ast.map
+      (function
+        | Ast.E_in_query (a, q, neg) ->
+            Some (Ast.E_in_query (in_expr a, expand_query q, neg))
+        | Ast.E_exists (q, neg) -> Some (Ast.E_exists (expand_query q, neg))
+        | Ast.E_scalar_subquery q -> Some (Ast.E_scalar_subquery (expand_query q))
+        | (Ast.E_agg _ | Ast.E_window _) as e -> Some e
+        | _ -> None)
+      e
   in
   let rec in_from (f : Ast.from_item) : Ast.from_item =
     match f with

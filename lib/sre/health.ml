@@ -70,24 +70,31 @@ let evaluate ?(max_error_rate = 0.10) ?(max_occupancy = 0.95) (i : input) :
   in
   { ready = List.for_all (fun c -> c.c_ok) checks; checks }
 
-let to_json (i : input) (v : verdict) =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"status\":\"%s\",\"uptime_s\":%.3f,\"sessions_open\":%d,\
-        \"sessions_total\":%d,\"requests\":%d,\"errors\":%d,\
-        \"snapshot_age_s\":%.3f,\"catalog_version\":%d,\"stats_version\":%d,\
-        \"cache_entries\":%d,\"cache_capacity\":%d,\"checks\":["
-       (if v.ready then "ready" else "degraded")
-       i.h_uptime_s i.h_sessions_open i.h_sessions_total i.h_requests
-       i.h_errors i.h_snapshot_age_s i.h_catalog_version i.h_stats_version
-       i.h_cache_entries i.h_cache_capacity);
-  List.iteri
-    (fun n c ->
-      if n > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "{\"name\":\"%s\",\"ok\":%b,\"detail\":\"%s\"}" c.c_name
-           c.c_ok c.c_detail))
-    v.checks;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+let fields (i : input) (v : verdict) =
+  let f3 x = Gpos.Json.Num (Gpos.Json.fixed 3 x) and n = Gpos.Json.int in
+  [
+    ("status", Gpos.Json.Str (if v.ready then "ready" else "degraded"));
+    ("uptime_s", f3 i.h_uptime_s);
+    ("sessions_open", n i.h_sessions_open);
+    ("sessions_total", n i.h_sessions_total);
+    ("requests", n i.h_requests);
+    ("errors", n i.h_errors);
+    ("snapshot_age_s", f3 i.h_snapshot_age_s);
+    ("catalog_version", n i.h_catalog_version);
+    ("stats_version", n i.h_stats_version);
+    ("cache_entries", n i.h_cache_entries);
+    ("cache_capacity", n i.h_cache_capacity);
+    ( "checks",
+      Gpos.Json.Arr
+        (List.map
+           (fun c ->
+             Gpos.Json.Obj
+               [
+                 ("name", Gpos.Json.Str c.c_name);
+                 ("ok", Gpos.Json.Bool c.c_ok);
+                 ("detail", Gpos.Json.Str c.c_detail);
+               ])
+           v.checks) );
+  ]
+
+let to_json i v = Gpos.Json.to_string (Gpos.Json.Obj (fields i v))

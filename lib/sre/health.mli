@@ -33,6 +33,10 @@ val evaluate : ?max_error_rate:float -> ?max_occupancy:float -> input -> verdict
     [slo-latency] and [slo-availability] (from the report, when given).
     [ready] is the conjunction. *)
 
+val fields : input -> verdict -> (string * Gpos.Json.t) list
+(** The report's JSON fields, in output order; the [!health] reply prefixes
+    its envelope to them. *)
+
 val to_json : input -> verdict -> string
 (** [{"status":"ready"|"degraded","uptime_s":..,...,"checks":[...]}] —
     one line, no embedded newlines. *)

@@ -181,16 +181,30 @@ let report t =
 
 let healthy r = r.r_latency_ok && r.r_availability_ok
 
-let to_json r =
+let json r =
   let o = r.r_objectives in
-  Printf.sprintf
-    "{\"window_s\":%g,\"intervals\":%d,\"latency_slo_ms\":%g,\
-     \"latency_target\":%g,\"availability_target\":%g,\"requests\":%d,\
-     \"errors\":%d,\"good\":%d,\"availability\":%.6f,\"attainment\":%.6f,\
-     \"p50_ms\":%.4f,\"p95_ms\":%.4f,\"p99_ms\":%.4f,\
-     \"latency_burn\":%.6f,\"availability_burn\":%.6f,\"latency_ok\":%b,\
-     \"availability_ok\":%b}"
-    o.slo_window_s o.slo_intervals o.slo_latency_ms o.slo_latency_target
-    o.slo_availability_target r.r_requests r.r_errors r.r_good
-    r.r_availability r.r_attainment r.r_p50_ms r.r_p95_ms r.r_p99_ms
-    r.r_latency_burn r.r_availability_burn r.r_latency_ok r.r_availability_ok
+  let g x = Gpos.Json.Num (Gpos.Json.general 6 x)
+  and f d x = Gpos.Json.Num (Gpos.Json.fixed d x)
+  and i = Gpos.Json.int in
+  Gpos.Json.Obj
+    [
+      ("window_s", g o.slo_window_s);
+      ("intervals", i o.slo_intervals);
+      ("latency_slo_ms", g o.slo_latency_ms);
+      ("latency_target", g o.slo_latency_target);
+      ("availability_target", g o.slo_availability_target);
+      ("requests", i r.r_requests);
+      ("errors", i r.r_errors);
+      ("good", i r.r_good);
+      ("availability", f 6 r.r_availability);
+      ("attainment", f 6 r.r_attainment);
+      ("p50_ms", f 4 r.r_p50_ms);
+      ("p95_ms", f 4 r.r_p95_ms);
+      ("p99_ms", f 4 r.r_p99_ms);
+      ("latency_burn", f 6 r.r_latency_burn);
+      ("availability_burn", f 6 r.r_availability_burn);
+      ("latency_ok", Gpos.Json.Bool r.r_latency_ok);
+      ("availability_ok", Gpos.Json.Bool r.r_availability_ok);
+    ]
+
+let to_json r = Gpos.Json.to_string (json r)

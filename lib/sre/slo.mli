@@ -63,7 +63,10 @@ val report : t -> report
 val healthy : report -> bool
 (** Both objectives currently met. *)
 
-val to_json : report -> string
-(** Single-line JSON object: objectives, window counters, quantiles, burn
-    rates and per-objective verdicts (the [!slo] endpoint body and the
+val json : report -> Gpos.Json.t
+(** JSON object: objectives, window counters, quantiles, burn rates and
+    per-objective verdicts (the [!slo] endpoint body and the
     [BENCH_serve.json] [slo] block). *)
+
+val to_json : report -> string
+(** {!json}, rendered on one line. *)

@@ -249,7 +249,7 @@ let derive ?(segments = 16.0) ~(base : Table_desc.t -> Relstats.t)
             (Histogram.uniform ~lo:(Datum.Int 0) ~hi:(Datum.Int 1_000_000)
                ~rows ~ndv:(Float.max 1.0 rows)))
         c wfuncs
-  | Expr.L_limit (_, offset, count) -> (
+  | Expr.L_limit (_, offset, count, _) -> (
       let c = child 0 in
       match count with
       | None -> c

@@ -15,13 +15,13 @@ let like_contains_selectivity = 0.15
 let rec conjunct_selectivity (stats : Relstats.t) (pred : Expr.scalar) :
     float * (Colref.t * Histogram.t) option =
   match pred with
-  | Expr.Const (Datum.Bool true) -> (1.0, None)
-  | Expr.Const (Datum.Bool false) -> (0.0, None)
-  | Expr.Cmp (op, Expr.Col c, Expr.Const v)
-  | Expr.Cmp (op, Expr.Const v, Expr.Col c) ->
+  | Expr.Const (Datum.Bool true) | Expr.Slot (_, Datum.Bool true) -> (1.0, None)
+  | Expr.Const (Datum.Bool false) | Expr.Slot (_, Datum.Bool false) -> (0.0, None)
+  | Expr.Cmp (op, Expr.Col c, (Expr.Const v | Expr.Slot (_, v)))
+  | Expr.Cmp (op, (Expr.Const v | Expr.Slot (_, v)), Expr.Col c) ->
       let op =
         match pred with
-        | Expr.Cmp (_, Expr.Const _, Expr.Col _) -> Expr.flip_cmp op
+        | Expr.Cmp (_, (Expr.Const _ | Expr.Slot _), Expr.Col _) -> Expr.flip_cmp op
         | _ -> op
       in
       (match Relstats.col_hist stats c with

@@ -16,26 +16,16 @@ let cost_close a b = Float.abs (a -. b) <= 0.0011 +. (1e-9 *. Float.abs a)
 let plan_has_subplan (p : Expr.plan) =
   Plan_ops.contains
     (fun n ->
-      let scalars =
-        match n.Expr.pop with
-        | Expr.P_table_scan (_, _, Some f) -> [ f ]
-        | Expr.P_index_scan (_, _, _, e, r) -> e :: Option.to_list r
-        | Expr.P_filter pred -> [ pred ]
-        | Expr.P_project projs ->
-            List.map (fun pr -> pr.Expr.proj_expr) projs
-        | Expr.P_hash_join (_, keys, r) ->
-            List.concat_map (fun (a, b) -> [ a; b ]) keys @ Option.to_list r
-        | Expr.P_merge_join (_, _, r) -> Option.to_list r
-        | Expr.P_nl_join (_, cond) -> [ cond ]
-        | Expr.P_window (_, _, wfuncs) ->
-            List.filter_map (fun w -> w.Expr.wf_arg) wfuncs
-        | Expr.P_hash_agg (_, _, aggs) | Expr.P_stream_agg (_, _, aggs) ->
-            List.filter_map (fun a -> a.Expr.agg_arg) aggs
-        | Expr.P_motion (Expr.Redistribute es) -> es
-        | _ -> []
-      in
-      List.exists Scalar_ops.contains_subplan scalars)
+      List.exists Scalar_ops.contains_subplan (Physical_ops.scalars n.Expr.pop))
     p
+
+(* DXL carries no parameter slots: compare an operator as its round trip
+   can rebuild it. *)
+let unslotted (op : Expr.physical) =
+  match Physical_ops.map_scalars Scalar_ops.erase_slots op with
+  | Expr.P_limit (sort, offset, count, _) ->
+      Expr.P_limit (sort, offset, count, Expr.no_limit_slots)
+  | op -> op
 
 let rec diff sink ~ridx (a : Expr.plan) (b : Expr.plan) =
   let path = Diagnostic.plan_path ridx in
@@ -48,7 +38,7 @@ let rec diff sink ~ridx (a : Expr.plan) (b : Expr.plan) =
              ~node "%s" message))
       fmt
   in
-  if not (Physical_ops.equal a.Expr.pop b.Expr.pop) then
+  if not (Physical_ops.equal (unslotted a.Expr.pop) b.Expr.pop) then
     emit "operator changed across the round trip: %s became %s"
       (Physical_ops.to_string a.Expr.pop)
       (Physical_ops.to_string b.Expr.pop)

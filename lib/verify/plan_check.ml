@@ -63,7 +63,7 @@ let rec typecheck ctx ~ridx ~node (s : Expr.scalar) : Dtype.t option =
   in
   match s with
   | Expr.Col c -> Some (Colref.ty c)
-  | Expr.Const d -> Datum.type_of d
+  | Expr.Const d | Expr.Slot (_, d) -> Datum.type_of d
   | Expr.Cmp (op, a, b) ->
       let ta = recur a and tb = recur b in
       if not (comparable ta tb) then
@@ -205,20 +205,7 @@ let check_bound ctx ~ridx ~node ~visible (s : Expr.scalar) =
       (Scalar_ops.to_string s)
 
 (* Scalar payloads of an operator, for binding and typing checks. *)
-let payload_scalars (op : Expr.physical) : Expr.scalar list =
-  match op with
-  | Expr.P_table_scan (_, _, f) -> Option.to_list f
-  | Expr.P_index_scan (_, _, _, e, residual) -> e :: Option.to_list residual
-  | Expr.P_filter pred -> [ pred ]
-  | Expr.P_project projs -> List.map (fun pr -> pr.Expr.proj_expr) projs
-  | Expr.P_hash_join (_, keys, residual) ->
-      List.concat_map (fun (a, b) -> [ a; b ]) keys @ Option.to_list residual
-  | Expr.P_merge_join (_, _, residual) -> Option.to_list residual
-  | Expr.P_nl_join (_, cond) -> [ cond ]
-  | Expr.P_window (_, _, wfuncs) ->
-      List.filter_map (fun w -> w.Expr.wf_arg) wfuncs
-  | Expr.P_motion (Expr.Redistribute es) -> es
-  | _ -> []
+let payload_scalars = Physical_ops.scalars
 
 (* Predicates whose type must be boolean. *)
 let boolean_payloads (op : Expr.physical) : Expr.scalar list =
@@ -551,7 +538,7 @@ let rec check_node ctx ~params ~ridx (p : Expr.plan) : Props.derived =
         check_grouping_dist ctx ~ridx ~node ~what:"window" partition c;
         check_key_prefix_order ctx ~ridx ~node ~what:"window" partition
           ~tail_req:worder c
-    | Expr.P_limit (sort, _, _), [ c ] ->
+    | Expr.P_limit (sort, _, _, _), [ c ] ->
         (match c.Props.ddist with
         | Props.D_singleton -> ()
         | Props.D_replicated ->

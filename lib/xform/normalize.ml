@@ -39,7 +39,9 @@ let merge_selects (t : Ltree.t) : Ltree.t =
                (Scalar_ops.conjoin
                   (Scalar_ops.conjuncts p1 @ Scalar_ops.conjuncts p2)))
             [ c ]
-      | Expr.L_select (Expr.Const (Datum.Bool true)), [ c ] -> c
+      | Expr.L_select (Expr.Const (Datum.Bool true) | Expr.Slot (_, Datum.Bool true)), [ c ]
+        ->
+          c
       | _ -> node)
     t
 

@@ -18,7 +18,7 @@ let prune (td : Table_desc.t) (pred : Expr.scalar) : int list option =
             ids
         in
         match c with
-        | Expr.Cmp (op, Expr.Col col, Expr.Const v)
+        | Expr.Cmp (op, Expr.Col col, (Expr.Const v | Expr.Slot (_, v)))
           when Colref.equal col pc && not (Datum.is_null v) -> (
             match op with
             | Expr.Eq -> Some (keep_ids (Table_desc.parts_matching_value td v))
@@ -31,7 +31,7 @@ let prune (td : Table_desc.t) (pred : Expr.scalar) : int list option =
                   (keep_ids
                      (Table_desc.parts_matching_range td ~lo:(Some v) ~hi:None))
             | Expr.Neq -> None)
-        | Expr.Cmp (op, Expr.Const v, Expr.Col col)
+        | Expr.Cmp (op, (Expr.Const v | Expr.Slot (_, v)), Expr.Col col)
           when Colref.equal col pc && not (Datum.is_null v) -> (
             match Expr.flip_cmp op with
             | Expr.Eq -> Some (keep_ids (Table_desc.parts_matching_value td v))

@@ -54,11 +54,11 @@ let rec prune (t : Ltree.t) ~(required : Colref.Set.t) : Ltree.t =
           (Scalar_ops.free_cols_of_list (List.filter_map (fun a -> a.Expr.agg_arg) aggs))
       in
       Ltree.make (Expr.L_gb_agg (phase, keys, aggs)) [ prune c ~required:needed ]
-  | Expr.L_limit (sort, offset, count), [ c ] ->
+  | Expr.L_limit (sort, offset, count, slots), [ c ] ->
       let needed =
         Colref.Set.union required (Colref.Set.of_list (Sortspec.cols sort))
       in
-      Ltree.make (Expr.L_limit (sort, offset, count)) [ prune c ~required:needed ]
+      Ltree.make (Expr.L_limit (sort, offset, count, slots)) [ prune c ~required:needed ]
   | Expr.L_cte_anchor id, [ producer; body ] ->
       (* the producer's output is shared by all consumers: keep it intact *)
       let producer' =

@@ -62,7 +62,8 @@ let select2index_scan =
                          List.filter_map
                            (fun c ->
                              match c with
-                             | Expr.Cmp (cmp, Expr.Col col, (Expr.Const _ as v))
+                             | Expr.Cmp
+                                 (cmp, Expr.Col col, ((Expr.Const _ | Expr.Slot _) as v))
                                when Colref.equal col idx.Table_desc.idx_col
                                     && cmp <> Expr.Neq ->
                                  let residual =
@@ -197,8 +198,8 @@ let limit_impl =
   Rule.make ~name:"Limit2Limit" ~kind:Rule.Implementation
     ~shapes:[ Logical_ops.S_limit ] ~produces:[] (fun _ctx _memo ge ->
       match (Rule.logical_op ge, ge.Memo.ge_children) with
-      | Some (Expr.L_limit (sort, offset, count)), [ g ] ->
-          [ Mexpr.physical_of_groups (Expr.P_limit (sort, offset, count)) [ g ] ]
+      | Some (Expr.L_limit (sort, offset, count, slots)), [ g ] ->
+          [ Mexpr.physical_of_groups (Expr.P_limit (sort, offset, count, slots)) [ g ] ]
       | _ -> [])
 
 let cte_anchor2sequence =

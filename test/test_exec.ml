@@ -302,7 +302,7 @@ let test_limit_and_sort () =
   let a = List.hd td.Table_desc.cols in
   let plan =
     Plan_ops.node
-      (Expr.P_limit ([ Sortspec.desc a ], 2, Some 3))
+      (Expr.P_limit ([ Sortspec.desc a ], 2, Some 3, Expr.no_limit_slots))
       [
         Plan_ops.node
           (Expr.P_motion (Expr.Gather_merge [ Sortspec.desc a ]))

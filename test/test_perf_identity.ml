@@ -85,7 +85,7 @@ let test_rule_prefilter_bitmaps () =
     all_tags;
   (* [applicable] is [applicable_tag] on the operator's shape *)
   let join_op = Expr.L_join (Expr.Inner, Expr.Const (Datum.Bool true)) in
-  let limit_op = Expr.L_limit (Sortspec.empty, 0, None) in
+  let limit_op = Expr.L_limit (Sortspec.empty, 0, None, Expr.no_limit_slots) in
   Alcotest.(check bool) "applicable on a join op" true
     (Xform.Rule.applicable join_rule join_op);
   Alcotest.(check bool) "not applicable on a limit op" false

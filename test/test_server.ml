@@ -118,8 +118,8 @@ let test_rebind () =
   let r' = ok_reply server sql_changed in
   Alcotest.check result_t "rebind is not cached" Sv.Rebound r'.Sv.r_result
 
-(* A changed String parameter that is not a date literal used to raise in
-   the date translation (an error reply); it now rebinds as a String. *)
+(* A changed String parameter rebinds as a String; only the slot of a DATE
+   literal takes a date. *)
 let test_rebind_non_date_string () =
   let env = Lazy.force Fixtures.tpcds_env in
   let server =
@@ -134,25 +134,323 @@ let test_rebind_non_date_string () =
     (Dxl.Dxl_plan.to_string
        (cold_plan_on (Fixtures.tpcds_accessor ()) (sql "Music")))
     (Lazy.force r.Sv.r_dxl);
+  (* a DATE literal's slot holds a Date: only a string that parses as one
+     rebinds it *)
+  let dated =
+    cold_plan_on (Fixtures.tpcds_accessor ())
+      "SELECT d_year FROM date_dim WHERE d_date = DATE '2000-01-01'"
+  in
+  let rebind_date s =
+    Pc.rebind
+      ~old_params:[ Ir.Datum.String "2000-01-01" ]
+      ~new_params:[ Ir.Datum.String s ]
+      dated
+  in
+  Alcotest.(check bool) "a date rebinds a date" true
+    (rebind_date "2000-01-02" <> None);
   Alcotest.(check bool) "a date and a non-date never map" true
-    (Pc.rebind
-       ~old_params:[ Ir.Datum.String "2000-01-01" ]
-       ~new_params:[ Ir.Datum.String "not a date" ]
-       r.Sv.r_plan
-    = None)
+    (rebind_date "not a date" = None)
 
+(* A slot inside a subplan's plan is rebound with the rest of the plan. *)
+let test_rebind_enters_subplans () =
+  let open Ir.Expr in
+  let a = Fixtures.col 1 "a" in
+  let node pop pchildren =
+    { pop; pchildren; pschema = [ a ]; pest_rows = 1.0; pcost = 1.0 }
+  in
+  let leaf = node (P_const_table ([ a ], [ [ Ir.Datum.Int 1 ] ])) [] in
+  let pred k = Cmp (Eq, Col a, Slot (k, Ir.Datum.Int 10)) in
+  let plan =
+    node
+      (P_filter
+         (And
+            [
+              pred 1;
+              Subplan
+                {
+                  sp_kind = Sp_exists;
+                  sp_plan = node (P_filter (pred 1)) [ leaf ];
+                  sp_params = [];
+                };
+            ]))
+      [ leaf ]
+  in
+  match
+    Pc.rebind ~old_params:[ Ir.Datum.Int 10 ] ~new_params:[ Ir.Datum.Int 11 ]
+      plan
+  with
+  | Some { pop = P_filter (And [ outer; Subplan sp ]); _ } ->
+      Alcotest.(check (pair string string)) "both occurrences rebound"
+        ("(a#1 = 11)", "Filter((a#1 = 11))")
+        ( Ir.Scalar_ops.to_string outer,
+          Ir.Physical_ops.to_string sp.sp_plan.pop )
+  | Some _ -> Alcotest.fail "rebind changed the plan's shape"
+  | None -> Alcotest.fail "rebind refused"
+
+(* A changed slot the plan cannot place — here folded into [a = 10] — is
+   refused: the request optimizes fresh and adds its own variant. *)
 let test_rebind_ambiguity_misses () =
   let server = new_server () in
-  let sql_two = "SELECT a, b FROM t1 WHERE b = 10 AND a = 10" in
-  (* changing only one of two equal constants is ambiguous: the cache must
-     optimize fresh rather than guess which literal to substitute *)
-  let sql_two' = "SELECT a, b FROM t1 WHERE b = 11 AND a = 10" in
-  ignore (ok_reply server sql_two);
-  let r = ok_reply server sql_two' in
-  Alcotest.check result_t "ambiguous rebind is a miss" Sv.Missed r.Sv.r_result;
+  let sql_sum = "SELECT a, b FROM t1 WHERE a = 5 + 5" in
+  let sql_sum' = "SELECT a, b FROM t1 WHERE a = 5 + 6" in
+  ignore (ok_reply server sql_sum);
+  let r = ok_reply server sql_sum' in
+  Alcotest.check result_t "folded slot is a miss" Sv.Missed r.Sv.r_result;
   (* ...and the miss added its own variant: the same text now hits *)
-  let r' = ok_reply server sql_two' in
+  let r' = ok_reply server sql_sum' in
   Alcotest.check result_t "second time is an exact hit" Sv.Hit r'.Sv.r_result
+
+(* Executes [plan] on the small database and compares its rows with the
+   naive oracle's answer to [sql]. *)
+let check_oracle what sql (plan : Ir.Expr.plan) =
+  let rows, _ = Exec.Executor.run (Lazy.force Fixtures.small).Fixtures.cluster plan in
+  Alcotest.(check (list string)) what
+    (Fixtures.norm (Fixtures.run_naive_sql sql))
+    (Fixtures.norm rows)
+
+(* Two equal literals are two slots: changing one rebinds exactly that
+   one. *)
+let test_equal_constants_rebind () =
+  let server = new_server () in
+  ignore (ok_reply server "SELECT a, b FROM t1 WHERE b = 10 AND a = 10");
+  let sql = "SELECT a, b FROM t1 WHERE b = 11 AND a = 10" in
+  let r = ok_reply server sql in
+  Alcotest.check result_t "one of two equal constants rebinds" Sv.Rebound
+    r.Sv.r_result;
+  check_oracle "rebound rows = oracle rows" sql r.Sv.r_plan
+
+(* Literals the binder matches with a twin and binds once have no slot: a
+   HAVING call reusing a SELECT aggregate, a SELECT item and its GROUP BY,
+   ORDER BY or ROLLUP twin. Changing either side must not silently change
+   the other: the request gets the oracle's rows, or fails as a fresh
+   optimization does. *)
+let test_twin_literals_never_rebind () =
+  let check (cached, sql) =
+    let server = new_server () in
+    ignore (ok_reply server cached);
+    let fresh = match cold_plan sql with _ -> true | exception _ -> false in
+    match (Sv.optimize_sql server sql, fresh) with
+    | Ok r, true -> check_oracle sql sql r.Sv.r_plan
+    | Error _, false -> ()
+    | Ok _, false -> Alcotest.failf "%s: served, but a fresh optimization fails" sql
+    | Error e, true ->
+        Alcotest.failf "%s: error reply (%s), but a fresh optimization succeeds" sql e
+  in
+  let having = "SELECT a, sum(b * 2) FROM t1 GROUP BY a HAVING sum(b * 2) > 2000" in
+  let group = "SELECT a + 1 FROM t1 GROUP BY a + 1" in
+  let order = "SELECT a + 1 AS x FROM t1 ORDER BY a + 1" in
+  let rollup = "SELECT a + 1, count(*) FROM t1 GROUP BY ROLLUP (a + 1)" in
+  List.iter check
+    [
+      (having, "SELECT a, sum(b * 3) FROM t1 GROUP BY a HAVING sum(b * 2) > 2000");
+      (having, "SELECT a, sum(b * 2) FROM t1 GROUP BY a HAVING sum(b * 3) > 2000");
+      (group, "SELECT a + 1 FROM t1 GROUP BY a + 2");
+      (group, "SELECT a + 2 FROM t1 GROUP BY a + 1");
+      (order, "SELECT a + 1 AS x FROM t1 ORDER BY a + 2");
+      (order, "SELECT a + 2 AS x FROM t1 ORDER BY a + 1");
+      (rollup, "SELECT a + 1, count(*) FROM t1 GROUP BY ROLLUP (a + 2)");
+      (rollup, "SELECT a + 2, count(*) FROM t1 GROUP BY ROLLUP (a + 1)");
+    ]
+
+(* A LIKE pattern has no slot: a new pattern optimizes fresh, then hits. *)
+let test_like_pattern_misses () =
+  let env = Lazy.force Fixtures.tpcds_env in
+  let server =
+    Sv.of_provider ~config:(Lazy.force Fixtures.orca_config)
+      env.Engines.Engine.provider
+  in
+  let sql pat =
+    "SELECT i_item_id, i_category FROM item WHERE i_category LIKE '" ^ pat
+    ^ "'"
+  in
+  ignore (ok_reply server (sql "Bo%"));
+  let r = ok_reply server (sql "Mu%") in
+  Alcotest.check result_t "changed pattern misses" Sv.Missed r.Sv.r_result;
+  let r' = ok_reply server (sql "Mu%") in
+  Alcotest.check result_t "then hits" Sv.Hit r'.Sv.r_result;
+  let cluster = Fixtures.tpcds_cluster () in
+  let rows, _ = Exec.Executor.run cluster r'.Sv.r_plan in
+  let expected =
+    Exec.Naive.run cluster
+      (Sqlfront.Binder.bind_sql (Fixtures.tpcds_accessor ()) (sql "Mu%"))
+  in
+  Alcotest.(check bool) "answer has rows" true (rows <> []);
+  Alcotest.(check (list string)) "answer = oracle" (Fixtures.norm expected)
+    (Fixtures.norm rows)
+
+(* --- served answers against the oracle, on the svcbench warehouse --- *)
+
+(* sf 0.05 and 8 segments, as [orca_cli serve] builds it *)
+let env8 =
+  lazy (Engines.Engine.create_env ~nsegs:8 (Tpcds.Datagen.generate ~sf:0.05 ()))
+
+let config8 = lazy (Orca.Orca_config.with_segments Orca.Orca_config.default 8)
+
+let accessor8 () =
+  let env = Lazy.force env8 in
+  Catalog.Accessor.create ~provider:env.Engines.Engine.provider
+    ~cache:env.Engines.Engine.cache ()
+
+let cluster8 =
+  lazy
+    (Engines.Engine.cluster_for (Lazy.force env8)
+       ~mem_per_seg:(64.0 *. 1024.0 *. 1024.0))
+
+(* a bag of rows, floats to four places (the svcbench oracle's form) *)
+let canon rows =
+  List.sort compare
+    (List.map
+       (fun r ->
+         String.concat ","
+           (List.map
+              (function
+                | Ir.Datum.Float f -> Printf.sprintf "%.4f" f
+                | d -> Ir.Datum.to_string d)
+              (Array.to_list r)))
+       rows)
+
+let exec8 plan = canon (fst (Exec.Executor.run (Lazy.force cluster8) plan))
+
+let naive8 sql =
+  canon
+    (Exec.Naive.run (Lazy.force cluster8)
+       (Sqlfront.Binder.bind_sql (accessor8 ()) sql))
+
+let fresh8 sql =
+  let accessor = accessor8 () in
+  (Orca.Optimizer.optimize ~config:(Lazy.force config8) accessor
+     (Sqlfront.Binder.bind_sql accessor sql))
+    .Orca.Optimizer.plan
+
+let qids = List.init 111 (fun i -> i + 1)
+let qsql qid = (Tpcds.Queries.get qid).Tpcds.Queries.sql
+
+(* The 111 texts once each, in qid order, through one server: each sibling
+   is served from its template's first instance, by rebind where it can. *)
+let test_served_answers_match_oracle () =
+  let server =
+    Sv.of_provider ~config:(Lazy.force config8)
+      (Lazy.force env8).Engines.Engine.provider
+  in
+  let wrong =
+    List.filter
+      (fun qid ->
+        let r = ok_reply server (qsql qid) in
+        exec8 r.Sv.r_plan <> naive8 (qsql qid))
+      qids
+  in
+  Alcotest.(check (list int)) "qids answered wrongly" [] wrong;
+  let c = Pc.stats (Sv.plan_cache server) in
+  Alcotest.(check (pair int int)) "rebinds, misses" (75, 36)
+    (c.Pc.rebinds, c.Pc.misses)
+
+(* The slot constants of every bound text hold the parameter Normalize
+   lifted at their position (a DATE literal's string as its Date). *)
+let test_slots_agree_with_normalize () =
+  List.iter
+    (fun qid ->
+      let sql = qsql qid in
+      let params = Array.of_list (Nz.normalize sql).Nz.params in
+      let holds k d =
+        k >= 1
+        && k <= Array.length params
+        &&
+        match (params.(k - 1), d) with
+        | Ir.Datum.String s, Ir.Datum.Date _ ->
+            Ir.Datum.date_of_string_opt s = Some d
+        | p, d -> p = d
+      in
+      let check_scalar s =
+        Ir.Scalar_ops.map
+          (function
+            | Ir.Expr.Slot (k, d) ->
+                if not (holds k d) then
+                  Alcotest.failf "q%d: slot %d holds %s" qid k
+                    (Ir.Datum.to_string d);
+                None
+            | _ -> None)
+          s
+        |> ignore
+      in
+      let check_op (op : Ir.Expr.logical) =
+        match op with
+        | Ir.Expr.L_select s | Ir.Expr.L_join (_, s) -> check_scalar s
+        | Ir.Expr.L_project projs ->
+            List.iter (fun p -> check_scalar p.Ir.Expr.proj_expr) projs
+        | Ir.Expr.L_gb_agg (_, _, aggs) ->
+            List.iter (fun a -> Option.iter check_scalar a.Ir.Expr.agg_arg) aggs
+        | Ir.Expr.L_window (_, _, wfs) ->
+            List.iter (fun w -> Option.iter check_scalar w.Ir.Expr.wf_arg) wfs
+        | Ir.Expr.L_apply ((Ir.Expr.Apply_in (s, _) | Ir.Expr.Apply_not_in (s, _)), _) ->
+            check_scalar s
+        | Ir.Expr.L_limit (_, offset, count, slots) ->
+            let int_slot k n =
+              if k > 0 && not (holds k (Ir.Datum.Int n)) then
+                Alcotest.failf "q%d: LIMIT/OFFSET slot %d holds %d" qid k n
+            in
+            int_slot slots.Ir.Expr.offset_slot offset;
+            Option.iter (int_slot slots.Ir.Expr.count_slot) count
+        | _ -> ()
+      in
+      let query = Sqlfront.Binder.bind_sql (accessor8 ()) sql in
+      Ir.Ltree.fold (fun () node -> check_op node.Ir.Ltree.op) () query.Dxl.Dxl_query.tree)
+    qids
+
+(* Every string literal of the 111 texts: the pool new STRING values come
+   from (dates among them). *)
+let string_pool =
+  lazy
+    (List.sort_uniq compare
+       (List.concat_map
+          (fun qid ->
+            List.filter_map
+              (function Ir.Datum.String s -> Some s | _ -> None)
+              (Nz.normalize (qsql qid)).Nz.params)
+          qids))
+
+(* [sql] with each literal given a new value of its type, rendered from the
+   normalized text so the token stream stays the same. *)
+let perturb st sql =
+  let n = Nz.normalize sql in
+  let params = Array.of_list n.Nz.params in
+  let literal = function
+    | Ir.Datum.Int i when Random.State.bool st ->
+        string_of_int (max 0 (i + Random.State.int st 5 - 2))
+    | Ir.Datum.Int i -> string_of_int i
+    | Ir.Datum.Float f -> Printf.sprintf "%.17g" f
+    | Ir.Datum.String s ->
+        let pool = Lazy.force string_pool in
+        let s =
+          if Random.State.int st 3 = 0 then
+            List.nth pool (Random.State.int st (List.length pool))
+          else s
+        in
+        "'" ^ String.concat "''" (String.split_on_char '\'' s) ^ "'"
+    | d -> Alcotest.failf "unexpected parameter %s" (Ir.Datum.to_string d)
+  in
+  String.concat " "
+    (List.map
+       (fun tok ->
+         if String.length tok > 1 && tok.[0] = '$' then
+           literal params.(int_of_string (String.sub tok 1 (String.length tok - 1)) - 1)
+         else tok)
+       (String.split_on_char ' ' n.Nz.text))
+
+let prop_rebind_or_refuse =
+  QCheck.Test.make ~count:40
+    ~name:"a rebound plan answers like a fresh optimization"
+    QCheck.(pair (int_bound 110) int)
+    (fun (q, seed) ->
+      let sql = qsql (q + 1) in
+      let sql' = perturb (Random.State.make [| seed |]) sql in
+      let n = Nz.normalize sql and n' = Nz.normalize sql' in
+      if n.Nz.text <> n'.Nz.text then
+        QCheck.Test.fail_reportf "perturbed text changed shape: %s" sql';
+      match
+        Pc.rebind ~old_params:n.Nz.params ~new_params:n'.Nz.params (fresh8 sql)
+      with
+      | None -> true
+      | Some plan -> exec8 plan = exec8 (fresh8 sql'))
 
 (* --- the cache directly: collisions and LRU --- *)
 
@@ -1040,8 +1338,21 @@ let suite =
       test_rebind;
     Alcotest.test_case "non-date string parameters rebind" `Quick
       test_rebind_non_date_string;
+    Alcotest.test_case "rebind enters subplans" `Quick
+      test_rebind_enters_subplans;
     Alcotest.test_case "ambiguous rebind optimizes fresh" `Quick
       test_rebind_ambiguity_misses;
+    Alcotest.test_case "equal constants rebind by slot" `Quick
+      test_equal_constants_rebind;
+    Alcotest.test_case "twin literals never rebind" `Quick
+      test_twin_literals_never_rebind;
+    Alcotest.test_case "a changed LIKE pattern misses, then hits" `Quick
+      test_like_pattern_misses;
+    Alcotest.test_case "served answers match the oracle" `Quick
+      test_served_answers_match_oracle;
+    Alcotest.test_case "slots agree with Normalize" `Quick
+      test_slots_agree_with_normalize;
+    QCheck_alcotest.to_alcotest prop_rebind_or_refuse;
     Alcotest.test_case "fingerprint collision never served" `Quick
       test_fingerprint_collision;
     Alcotest.test_case "LRU eviction order" `Quick test_lru_eviction;

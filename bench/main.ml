@@ -32,6 +32,30 @@ let line = String.make 76 '-'
 let header title =
   Printf.printf "\n%s\n%s\n%s\n" line title line
 
+let json_fixed d v = Gpos.Json.Num (Gpos.Json.fixed d v)
+let json_general v = Gpos.Json.Num (Gpos.Json.general 6 v)
+
+(* A --json/--profile-json report: the experiment's name (when given) and
+   the run's configuration, then [fields], printed in the layout of the
+   committed baselines. *)
+let write_json ?experiment ~what path fields =
+  let head =
+    match experiment with
+    | None -> []
+    | Some e -> [ ("experiment", Gpos.Json.Str e) ]
+  in
+  let setup =
+    [
+      ("sf", json_general !sf);
+      ("segments", Gpos.Json.int !nsegs);
+      ("workers", Gpos.Json.int !workers);
+    ]
+  in
+  let oc = open_out path in
+  output_string oc (Gpos.Json.pretty (Obj (head @ setup @ fields)));
+  close_out oc;
+  Printf.printf "%s JSON written to %s\n" what path
+
 (* --- shared environment --- *)
 
 type bench_env = {
@@ -576,44 +600,42 @@ let profile () =
         m.Exec.Metrics.rows_scanned)
     rows;
   let sum f = List.fold_left (fun a x -> a +. f x) 0.0 rows in
+  let opt_ms = sum (fun (_, r, _) -> r.Orca.Optimizer.opt_time_ms) in
+  let sim_seconds = sum (fun (_, _, m) -> m.Exec.Metrics.sim_seconds) in
   Printf.printf
     "\ntotal: %d queries, %.1f ms optimization, %.4f s simulated execution\n"
-    (List.length rows)
-    (sum (fun (_, r, _) -> r.Orca.Optimizer.opt_time_ms))
-    (sum (fun (_, _, m) -> m.Exec.Metrics.sim_seconds));
+    (List.length rows) opt_ms sim_seconds;
   match !profile_json with
   | None -> ()
   | Some path ->
-      let buf = Buffer.create 8192 in
-      let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-      pf "{\"sf\":%g,\"segments\":%d,\"workers\":%d,\"queries\":[\n" !sf !nsegs
-        !workers;
-      List.iteri
-        (fun i ((q : Tpcds.Queries.def), (r : Orca.Optimizer.report), m) ->
-          let kv =
-            Exec.Metrics.to_kv m
-            |> List.map (fun (k, v) -> Printf.sprintf "\"%s\":%g" k v)
-            |> String.concat ","
-          in
-          pf
-            "%s{\"qid\":%d,\"family\":%S,\"opt_ms\":%.3f,\"groups\":%d,\
-             \"gexprs\":%d,\"contexts\":%d,\"xforms\":%d,\"jobs_created\":%d,\
-             \"jobs_run\":%d,%s}"
-            (if i = 0 then "" else ",\n")
-            q.Tpcds.Queries.qid q.Tpcds.Queries.family
-            r.Orca.Optimizer.opt_time_ms r.Orca.Optimizer.groups
-            r.Orca.Optimizer.gexprs r.Orca.Optimizer.contexts
-            r.Orca.Optimizer.xforms r.Orca.Optimizer.jobs_created
-            r.Orca.Optimizer.jobs_run kv)
-        rows;
-      pf "\n],\"totals\":{\"queries\":%d,\"opt_ms\":%.3f,\"sim_seconds\":%g}}\n"
-        (List.length rows)
-        (sum (fun (_, r, _) -> r.Orca.Optimizer.opt_time_ms))
-        (sum (fun (_, _, m) -> m.Exec.Metrics.sim_seconds));
-      let oc = open_out path in
-      output_string oc (Buffer.contents buf);
-      close_out oc;
-      Printf.printf "profile JSON written to %s\n" path
+      let query ((q : Tpcds.Queries.def), (r : Orca.Optimizer.report), m) =
+        Gpos.Json.Obj
+          (Gpos.Json.
+             [
+               ("qid", int q.Tpcds.Queries.qid);
+               ("family", Str q.Tpcds.Queries.family);
+               ("opt_ms", json_fixed 3 r.Orca.Optimizer.opt_time_ms);
+               ("groups", int r.Orca.Optimizer.groups);
+               ("gexprs", int r.Orca.Optimizer.gexprs);
+               ("contexts", int r.Orca.Optimizer.contexts);
+               ("xforms", int r.Orca.Optimizer.xforms);
+               ("jobs_created", int r.Orca.Optimizer.jobs_created);
+               ("jobs_run", int r.Orca.Optimizer.jobs_run);
+             ]
+          @ List.map (fun (k, v) -> (k, json_general v)) (Exec.Metrics.to_kv m))
+      in
+      write_json ~what:"profile" path
+        Gpos.Json.
+          [
+            ("queries", Arr (List.map query rows));
+            ( "totals",
+              Obj
+                [
+                  ("queries", int (List.length rows));
+                  ("opt_ms", json_fixed 3 opt_ms);
+                  ("sim_seconds", json_general sim_seconds);
+                ] );
+          ]
 
 (* ==================== optimization speed (opt-speed) ================== *)
 
@@ -784,41 +806,47 @@ let opt_speed () =
   (match !opt_json with
   | None -> ()
   | Some path ->
-      let buf = Buffer.create 8192 in
-      let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-      pf
-        "{\"experiment\":\"opt-speed\",\"sf\":%g,\"segments\":%d,\"workers\":%d,\n"
-        !sf !nsegs !workers;
-      pf "\"queries\":[\n";
-      List.iteri
-        (fun i ((q : Tpcds.Queries.def), r_on, r_off, obs, f, p) ->
-          pf
-            "%s{\"qid\":%d,\"on_ms\":%.3f,\"off_ms\":%.3f,\"groups\":%d,\
-             \"gexprs\":%d,\"rule_fired\":%d,\"rule_prefiltered\":%d,\
-             \"base_reuses\":%d,\"winner_skips\":%d}"
-            (if i = 0 then "" else ",\n")
-            q.Tpcds.Queries.qid r_on.Orca.Optimizer.opt_time_ms
-            r_off.Orca.Optimizer.opt_time_ms r_on.Orca.Optimizer.groups
-            r_on.Orca.Optimizer.gexprs f p
-            obs.Obs.Report.search.Obs.Report.c_base_reuses
-            obs.Obs.Report.search.Obs.Report.c_winner_skips)
-        rows;
-      pf "\n],\n";
-      pf
-        "\"summary\":{\"queries\":%d,\"identity_violations\":%d,\
-         \"on_ms_total\":%.3f,\"off_ms_total\":%.3f,\
-         \"speedup_geomean\":%.4f,\"p50_ms\":%.4f,\"p95_ms\":%.4f,\
-         \"p99_ms\":%.4f,\"groups\":%d,\"gexprs\":%d,\
-         \"rule_fired\":%d,\"rule_prefiltered\":%d,\"base_reuses\":%d,\
-         \"winner_skips\":%d,\"ops_interned\":%d,\"intern_hits\":%d}}\n"
-        n
-        (List.length !mismatches)
-        on_total off_total geomean p50 p95 p99 groups gexprs fired prefiltered
-        base_reuses winner_skips interned intern_hits;
-      let oc = open_out path in
-      output_string oc (Buffer.contents buf);
-      close_out oc;
-      Printf.printf "opt-speed JSON written to %s\n" path);
+      let query ((q : Tpcds.Queries.def), r_on, r_off, obs, f, p) =
+        let search = obs.Obs.Report.search in
+        Gpos.Json.(
+          Obj
+            [
+              ("qid", int q.Tpcds.Queries.qid);
+              ("on_ms", json_fixed 3 r_on.Orca.Optimizer.opt_time_ms);
+              ("off_ms", json_fixed 3 r_off.Orca.Optimizer.opt_time_ms);
+              ("groups", int r_on.Orca.Optimizer.groups);
+              ("gexprs", int r_on.Orca.Optimizer.gexprs);
+              ("rule_fired", int f);
+              ("rule_prefiltered", int p);
+              ("base_reuses", int search.Obs.Report.c_base_reuses);
+              ("winner_skips", int search.Obs.Report.c_winner_skips);
+            ])
+      in
+      write_json ~experiment:"opt-speed" ~what:"opt-speed" path
+        Gpos.Json.
+          [
+            ("queries", Arr (List.map query rows));
+            ( "summary",
+              Obj
+                [
+                  ("queries", int n);
+                  ("identity_violations", int (List.length !mismatches));
+                  ("on_ms_total", json_fixed 3 on_total);
+                  ("off_ms_total", json_fixed 3 off_total);
+                  ("speedup_geomean", json_fixed 4 geomean);
+                  ("p50_ms", json_fixed 4 p50);
+                  ("p95_ms", json_fixed 4 p95);
+                  ("p99_ms", json_fixed 4 p99);
+                  ("groups", int groups);
+                  ("gexprs", int gexprs);
+                  ("rule_fired", int fired);
+                  ("rule_prefiltered", int prefiltered);
+                  ("base_reuses", int base_reuses);
+                  ("winner_skips", int winner_skips);
+                  ("ops_interned", int interned);
+                  ("intern_hits", int intern_hits);
+                ] );
+          ]);
   if !mismatches <> [] then exit 1
 
 (* ====================== serve (optimizer-as-a-service) ================ *)
@@ -997,27 +1025,31 @@ let serve_bench () =
   (match !opt_json with
   | None -> ()
   | Some path ->
-      let buf = Buffer.create 1024 in
-      let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-      pf
-        "{\"experiment\":\"serve\",\"sf\":%g,\"segments\":%d,\"workers\":%d,\n"
-        !sf !nsegs !workers;
-      pf
-        "\"summary\":{\"requests\":%d,\"shapes\":%d,\"errors\":%d,\
-         \"hits\":%d,\"rebinds\":%d,\"misses\":%d,\"evictions\":%d,\
-         \"collisions\":%d,\"identity_checks\":%d,\
-         \"identity_violations\":%d,\"hit_rate\":%.4f,\"qps\":%.2f,\
-         \"p50_ms\":%.4f,\"p95_ms\":%.4f,\"p99_ms\":%.4f,\
-         \"wall_ms\":%.3f,\n"
-        n_req nshapes errors hits rebinds misses
-        c.Server.Plan_cache.evictions c.Server.Plan_cache.collisions !audits
-        (List.length !violations)
-        hit_rate qps p50 p95 p99 wall_ms;
-      pf "\"slo\":%s}}\n" (Sre.Slo.to_json slo_report);
-      let oc = open_out path in
-      output_string oc (Buffer.contents buf);
-      close_out oc;
-      Printf.printf "serve JSON written to %s\n" path);
+      write_json ~experiment:"serve" ~what:"serve" path
+        Gpos.Json.
+          [
+            ( "summary",
+              Obj
+                [
+                  ("requests", int n_req);
+                  ("shapes", int nshapes);
+                  ("errors", int errors);
+                  ("hits", int hits);
+                  ("rebinds", int rebinds);
+                  ("misses", int misses);
+                  ("evictions", int c.Server.Plan_cache.evictions);
+                  ("collisions", int c.Server.Plan_cache.collisions);
+                  ("identity_checks", int !audits);
+                  ("identity_violations", int (List.length !violations));
+                  ("hit_rate", json_fixed 4 hit_rate);
+                  ("qps", json_fixed 2 qps);
+                  ("p50_ms", json_fixed 4 p50);
+                  ("p95_ms", json_fixed 4 p95);
+                  ("p99_ms", json_fixed 4 p99);
+                  ("wall_ms", json_fixed 3 wall_ms);
+                  ("slo", Sre.Slo.json slo_report);
+                ] );
+          ]);
   if !violations <> [] then exit 1
 
 (* ======================== running example (§4.1) ====================== *)

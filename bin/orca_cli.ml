@@ -346,30 +346,6 @@ let accuracy_cmd suite json ~sf env sql =
 
 (* --- structural plan diff (lib/prov) --- *)
 
-let speedup_off config = function
-  | "interning" -> Orca.Orca_config.with_interning config false
-  | "stats_memo" -> Orca.Orca_config.with_stats_memo config false
-  | "rule_prefilter" -> Orca.Orca_config.with_rule_prefilter config false
-  | "winner_reuse" -> Orca.Orca_config.with_winner_reuse config false
-  (* not a speedup: strips the trace id the diff run carries by default,
-     A/B-ing the sre observability plumbing against a dark run (plans must
-     come out identical) *)
-  | "sre" -> Orca.Orca_config.without_trace_id config
-  | "all" -> Orca.Orca_config.without_speedups config
-  | other ->
-      prerr_endline
-        ("diff: unknown speedup flag '" ^ other
-       ^ "' (expected interning, stats_memo, rule_prefilter, winner_reuse, \
-          sre or all)");
-      exit 2
-
-let split_flags s =
-  if s = "" then []
-  else
-    String.split_on_char ',' s
-    |> List.map String.trim
-    |> List.filter (fun x -> x <> "")
-
 (* Compare two runs of the same query under different optimizer
    configurations, or two AMPERe dumps. Exits 1 on divergence, mirroring
    lint's convention. *)
@@ -389,15 +365,10 @@ let diff_cmd off_a off_b strata_a strata_b dump_a dump_b (env : env Lazy.t)
         let env = Lazy.force env in
         (* stratification computed once, only if a side asks for it *)
         let strata = lazy (Interact.strata (Interact.run ())) in
-        let run offs use_strata =
-          (* the diff run carries a trace id so `--off-b sre` can A/B the
-             observability plumbing; it must never affect the plan *)
+        let run off use_strata =
+          let config = Orca.Orca_config.with_prov (base_config env) in
           let config =
-            List.fold_left speedup_off
-              (Orca.Orca_config.with_trace_id
-                 (Orca.Orca_config.with_prov (base_config env))
-                 "diff")
-              (split_flags offs)
+            if off then Orca.Orca_config.without_speedups config else config
           in
           let config =
             if use_strata then
@@ -407,8 +378,8 @@ let diff_cmd off_a off_b strata_a strata_b dump_a dump_b (env : env Lazy.t)
           let _, report = optimize_with env config sql in
           (report.Orca.Optimizer.plan, report.Orca.Optimizer.prov)
         in
-        let describe offs use_strata =
-          (if offs = "" then "all speedups on" else "off: " ^ offs)
+        let describe off use_strata =
+          (if off then "speedups off" else "speedups on")
           ^ if use_strata then ", strata order" else ""
         in
         let pa, va = run off_a strata_a and pb, vb = run off_b strata_b in
@@ -1004,16 +975,16 @@ let () =
                accuracy_cmd suite json ~sf (make_env sf segs workers) sql)
            $ suite_arg $ json_arg $ sf_arg $ segs_arg $ workers_arg
            $ sql_opt_arg));
-      (let off_flags_arg names doc =
-         Arg.(value & opt string "" & info names ~docv:"FLAGS" ~doc)
-       in
-       let off_a_arg =
-         off_flags_arg [ "off-a" ]
-           "Comma-separated speedup flags to disable for run A (interning, \
-            stats_memo, rule_prefilter, winner_reuse, all)."
+      (let off_a_arg =
+         Arg.(
+           value & flag
+           & info [ "off-a" ]
+               ~doc:
+                 "Run A with the hot-path caches off (interning, stats \
+                  memo, rule prefilter, winner reuse).")
        in
        let off_b_arg =
-         off_flags_arg [ "off-b" ] "Speedup flags to disable for run B."
+         Arg.(value & flag & info [ "off-b" ] ~doc:"Speedups off for run B.")
        in
        let dump_arg names doc =
          Arg.(value & opt (some string) None & info names ~docv:"PATH" ~doc)

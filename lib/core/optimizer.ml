@@ -71,7 +71,7 @@ let rec tree_to_mexpr (t : Ltree.t) : Memolib.Mexpr.t =
 let run_stage (config : Orca_config.t) ~(factory : Colref.Factory.t)
     ~(base : Table_desc.t -> Stats.Relstats.t) (tree : Ltree.t)
     (req : Props.req) (stage : Xform.Ruleset.stage) =
-  let memo = Memolib.Memo.create ~interning:config.Orca_config.interning () in
+  let memo = Memolib.Memo.create ~interning:config.Orca_config.speedups () in
   let root_ge =
     Obs.Span.with_ ~name:"copy-in" (fun () ->
         Memolib.Memo.insert memo (tree_to_mexpr tree))
@@ -81,10 +81,7 @@ let run_stage (config : Orca_config.t) ~(factory : Colref.Factory.t)
   let engine =
     Search.Engine.create ~workers:config.Orca_config.workers
       ?fuzz_seed:config.Orca_config.fuzz_seed ~obs:config.Orca_config.obs
-      ~rule_checks:config.Orca_config.rule_checks
-      ~prefilter:config.Orca_config.rule_prefilter
-      ~stats_memo:config.Orca_config.stats_memo
-      ~winner_reuse:config.Orca_config.winner_reuse
+      ~speedups:config.Orca_config.speedups
       ~stage_name:stage.Xform.Ruleset.stage_name
       ~prov:config.Orca_config.prov
       ?strata:config.Orca_config.strata
@@ -105,9 +102,8 @@ let optimize_inner ~(config : Orca_config.t) (accessor : Catalog.Accessor.t)
      (reverse order here), and is an Obs span when a session is active. *)
   let phases = ref [] in
   let phase name f =
-    let p0 = Gpos.Clock.now () in
-    let r = Obs.Span.with_ ~name f in
-    phases := (name, Gpos.Clock.ms_since p0) :: !phases;
+    let r, ms = Obs.Span.timed ~name f in
+    phases := (name, ms) :: !phases;
     r
   in
   let factory = Catalog.Accessor.factory accessor in

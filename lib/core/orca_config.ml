@@ -11,22 +11,21 @@ type t = {
   prune_columns : bool;      (* narrow join inputs to needed columns *)
   verify : bool;             (* run the static analyzers on the result *)
   sanitize : bool;           (* record a trace, run the concurrency sanitizer *)
-  fuzz_seed : int option;    (* permute the costing schedule (with sanitize) *)
+  fuzz_seed : int option;    (* cost as scheduler jobs in a seeded order *)
   obs : bool;                (* collect the observability report (lib/obs) *)
   prov : bool;               (* record plan provenance (lib/prov) *)
-  rule_checks : bool;        (* checksum the Memo around every rule apply *)
   strata : (string * int) list option;
       (* stage-ordered rule scheduling: rule name -> stratum, the topological
          order of the rule-interaction graph's SCCs (computed by
          lib/interact, carried here as plain data so lib/core does not
          depend on the analyzer). None = promise order only. *)
-  (* hot-path speedups; identity-preserving (the chosen plan and its cost
-     are byte-identical with them on or off), so on by default. Individually
-     switchable for A/B identity tests and the opt-speed benchmark. *)
-  interning : bool;          (* hash-cons Memo operator payloads *)
-  stats_memo : bool;         (* memoize group rows/width and motion skew *)
-  rule_prefilter : bool;     (* skip rules by root-shape bitmap *)
-  winner_reuse : bool;       (* reuse winners/base costs across contexts *)
+  speedups : bool;
+      (* the hot-path caches: Memo operator interning, the group stats
+         memo, the rule shape prefilter and winner/base-cost reuse.
+         Identity-preserving (the chosen plan and its cost are
+         byte-identical with them on or off), so on by default; off is the
+         reference the identity tests and the opt-speed benchmark compare
+         against. *)
   trace_id : string option;
       (* the originating service request ("s<sid>-r<rid>", lib/sre), when
          this optimization runs inside Orca_server: stamped as an
@@ -49,12 +48,8 @@ let default =
     fuzz_seed = None;
     obs = false;
     prov = false;
-    rule_checks = false;
     strata = None;
-    interning = true;
-    stats_memo = true;
-    rule_prefilter = true;
-    winner_reuse = true;
+    speedups = true;
     trace_id = None;
   }
 
@@ -88,8 +83,6 @@ let with_obs t = { t with obs = true }
 
 let with_prov t = { t with prov = true }
 
-let with_rule_checks t = { t with rule_checks = true }
-
 let with_strata t strata = { t with strata = Some strata }
 
 let with_fuzz_seed t seed = { t with fuzz_seed = Some seed }
@@ -99,20 +92,5 @@ let without_decorrelation t = { t with decorrelate = false }
 let without_column_pruning t = { t with prune_columns = false }
 
 let with_trace_id t id = { t with trace_id = Some id }
-let without_trace_id t = { t with trace_id = None }
 
-let with_interning t on = { t with interning = on }
-let with_stats_memo t on = { t with stats_memo = on }
-let with_rule_prefilter t on = { t with rule_prefilter = on }
-let with_winner_reuse t on = { t with winner_reuse = on }
-
-(* The caches-off configuration the identity tests and the opt-speed bench
-   compare against. *)
-let without_speedups t =
-  {
-    t with
-    interning = false;
-    stats_memo = false;
-    rule_prefilter = false;
-    winner_reuse = false;
-  }
+let without_speedups t = { t with speedups = false }

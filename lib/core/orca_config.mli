@@ -17,8 +17,10 @@ type t = {
       (** record a scheduler/Memo trace during optimization and run the
           {!Sanitize} concurrency analyses on it *)
   fuzz_seed : int option;
-      (** permute the costing schedule deterministically (schedule fuzzer);
-          meaningful together with [sanitize] or divergence checking *)
+      (** schedule fuzzer: run costing as jobs on the optimization scheduler
+          (never the single-worker direct walk) and let this seed permute
+          their dequeue order deterministically. Plans must not change; the
+          sanitizer compares fuzzed runs with a plain one. *)
   obs : bool;
       (** collect the {!Obs} observability report (per-rule profiles, Memo
           growth, scheduler utilization, cost-model invocations, spans);
@@ -27,27 +29,13 @@ type t = {
       (** record plan provenance: per-gexpr rule origins in the Memo and the
           per-node lineage/losing-alternative annotation on the chosen plan
           (lib/prov); lands in {!Optimizer.report.prov} *)
-  rule_checks : bool;
-      (** debug mode: checksum the Memo around every rule application and
-          raise {!Search.Engine.Rule_contract_violation} if a rule's [apply]
-          mutated it (the lib/xform/rule.mli contract) *)
   strata : (string * int) list option;
       (** stage-ordered rule scheduling: rule name -> stratum (the
           topological order of the rule-interaction graph's SCCs, computed
           by lib/interact and carried here as plain data). [None] schedules
           by promise alone. Plan-identical either way. *)
-  interning : bool;
-      (** hash-cons Memo operator payloads so duplicate detection compares
-          dense ids instead of deep structures *)
-  stats_memo : bool;
-      (** memoize per-group row counts, row widths and redistribute skew on
-          the costing path *)
-  rule_prefilter : bool;
-      (** skip rule applications whose root-shape bitmap rules the group
-          expression out *)
-  winner_reuse : bool;
-      (** skip child Opt spawns on completed contexts and reuse operator
-          base costs across contexts differing only in required properties *)
+  speedups : bool;
+      (** the hot-path caches (see {!without_speedups}); on by default *)
   trace_id : string option;
       (** the originating service request's trace id (lib/sre,
           ["s<sid>-r<rid>"]) when the optimization runs inside
@@ -86,11 +74,6 @@ val with_prov : t -> t
     off, no origin records are allocated and no annotation is built, so the
     optimization hot path is unaffected (gated by the opt-speed benchmark). *)
 
-val with_rule_checks : t -> t
-(** Enable the engine's debug-mode enforcement of the "apply must not mutate
-    the Memo" rule contract. Off by default — with it off the check is one
-    branch per rule application. *)
-
 val with_strata : t -> (string * int) list -> t
 (** Schedule rules by interaction-graph stratum (ascending), promise
     breaking ties — the stratification computed by lib/interact. Byte-
@@ -98,7 +81,8 @@ val with_strata : t -> (string * int) list -> t
     check); the substrate for budget-aware scheduling on big join queries. *)
 
 val with_fuzz_seed : t -> int -> t
-(** Drive the optimization scheduler's dequeue order from a seeded PRNG. *)
+(** Cost on the optimization scheduler with its dequeue order drawn from a
+    seeded PRNG (see [fuzz_seed]). *)
 
 val without_decorrelation : t -> t
 (** Correlated subqueries become unsupported, as in optimizers lacking the
@@ -108,21 +92,26 @@ val without_column_pruning : t -> t
 
 val with_trace_id : t -> string -> t
 (** Attribute this optimization to a service request (plan-identical
-    either way; `orca_cli diff --off-b sre` A/Bs it). *)
-
-val without_trace_id : t -> t
+    either way; the server tests check it). *)
 
 (** {2 Hot-path speedups}
 
-    All four are identity-preserving — the chosen plan and its cost are
-    byte-identical with them on or off (test/test_perf_identity.ml) — and on
-    by default. The switches exist for A/B identity testing and the
-    opt-speed benchmark's caches-off baseline. *)
+    Four caches, switched together by [speedups]:
+    - Memo operator interning: hash-cons operator payloads so duplicate
+      detection compares dense ids instead of deep structures;
+    - the stats memo: per-group row counts, row widths and redistribute
+      skew on the costing path;
+    - the rule prefilter: skip rule applications whose root-shape bitmap
+      rules the group expression out;
+    - winner reuse: skip child Opt spawns on completed contexts, reuse
+      operator base costs across contexts that differ only in required
+      properties, and cost by direct recursion at one worker.
 
-val with_interning : t -> bool -> t
-val with_stats_memo : t -> bool -> t
-val with_rule_prefilter : t -> bool -> t
-val with_winner_reuse : t -> bool -> t
+    They are not components to configure but identity-preserving speedups:
+    the chosen plan and its cost are byte-identical with them on or off
+    (test/test_perf_identity.ml). *)
 
 val without_speedups : t -> t
-(** All four speedups off: the structural, uncached optimization path. *)
+(** All four caches off: the structural, uncached optimization path that
+    identity tests, [orca_cli diff --off-a/--off-b] and the opt-speed
+    benchmark's baseline compare against. *)

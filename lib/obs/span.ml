@@ -46,29 +46,42 @@ let record ev =
   buf := ev :: !buf;
   Mutex.unlock buf_mutex
 
-let with_ ?(attrs = []) ~name f =
-  if not (active ()) then f ()
-  else begin
-    let stack = Domain.DLS.get stack_key in
-    Domain.DLS.set stack_key (name :: stack);
-    let path = String.concat "/" (List.rev (name :: stack)) in
-    let t0 = Gpos.Clock.now () in
-    Fun.protect
-      ~finally:(fun () ->
-        let t1 = Gpos.Clock.now () in
-        Domain.DLS.set stack_key stack;
-        record
-          {
-            sp_name = name;
-            sp_path = path;
-            sp_depth = List.length stack;
-            sp_start_us = (t0 -. !session_t0) *. 1e6;
-            sp_dur_us = (t1 -. t0) *. 1e6;
-            sp_domain = (Domain.self () :> int);
-            sp_attrs = attrs;
-          })
-      f
-  end
+(* Push [name] on this domain's ancestry; the returned closer pops it and
+   records the span from its start and end clock readings. *)
+let open_span attrs name =
+  let stack = Domain.DLS.get stack_key in
+  Domain.DLS.set stack_key (name :: stack);
+  let path = String.concat "/" (List.rev (name :: stack)) in
+  fun t0 t1 ->
+    Domain.DLS.set stack_key stack;
+    record
+      {
+        sp_name = name;
+        sp_path = path;
+        sp_depth = List.length stack;
+        sp_start_us = (t0 -. !session_t0) *. 1e6;
+        sp_dur_us = (t1 -. t0) *. 1e6;
+        sp_domain = (Domain.self () :> int);
+        sp_attrs = attrs;
+      }
+
+(* Run [f] in a span and return its result with the elapsed milliseconds:
+   the same two clock reads time the span, when a session is active, and
+   the returned duration. *)
+let timed ?(attrs = []) ~name f =
+  let close = if active () then open_span attrs name else fun _ _ -> () in
+  let t0 = Gpos.Clock.now () in
+  match f () with
+  | r ->
+      let t1 = Gpos.Clock.now () in
+      close t0 t1;
+      (r, (t1 -. t0) *. 1000.0)
+  | exception e ->
+      close t0 (Gpos.Clock.now ());
+      raise e
+
+let with_ ?attrs ~name f =
+  if not (active ()) then f () else fst (timed ?attrs ~name f)
 
 (* Stable order for exporters and golden tests: by start time, then depth
    (parents before equal-start children), then path. *)

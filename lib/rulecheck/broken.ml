@@ -42,7 +42,7 @@ let lying_shape_mask =
 
 (* Inserts into the Memo from inside [apply] instead of returning the
    alternative. Caught by rule/memo-mutation (and, with
-   [Orca_config.with_rule_checks], by the engine's central checksum). *)
+   the engine's [~rule_checks] debug mode, by its central checksum). *)
 let memo_mutator =
   Rule.make ~name:"MemoMutator" ~kind:Rule.Exploration
     ~shapes:[ Logical_ops.S_get ]

@@ -54,8 +54,6 @@ type t = {
   counters : acounters;
   obs : bool; (* collect per-rule timings for the observability report *)
   rule_stats : (int, rule_stat) Hashtbl.t; (* rule id -> profile *)
-  (* hot-path speedups; every one preserves the chosen plan and its cost
-     exactly (test/test_perf_identity.ml proves it per query) *)
   rule_checks : bool;
       (* debug mode: checksum the Memo around every [Rule.apply] to enforce
          the no-mutation contract of rule.mli at the engine's single
@@ -70,11 +68,16 @@ type t = {
          Memo's duplicate detection is order-independent — but stratified
          order applies feeder rules before the rules they feed, the
          substrate for budget-aware scheduling on big join queries. *)
-  prefilter : bool;    (* skip rules whose shape bitmap rules the root out *)
-  stats_memo : bool;   (* memoize per-group rows/width and redistribute skew *)
-  winner_reuse : bool; (* skip child Opt spawns on complete contexts; reuse
-                          base costs across contexts differing only in the
-                          required properties *)
+  speedups : bool;
+      (* the hot-path caches: skip rules whose shape bitmap rules the root
+         out; memoize per-group rows/width and redistribute skew; skip child
+         Opt spawns on complete contexts and reuse base costs across
+         contexts differing only in the required properties. Each preserves
+         the chosen plan and its cost exactly (test/test_perf_identity.ml
+         proves it per query). *)
+  direct_costing : bool;
+      (* cost by direct recursion instead of Opt jobs: one worker, speedups
+         on, and no fuzz seed (the seed permutes only [sched_opt]) *)
   opt_workers : int;
   (* rows/width per canonical group id: frozen before costing starts (the
      optimization phase inserts nothing), so parallel Opt jobs read them
@@ -91,7 +94,7 @@ type t = {
      (the goal-queue barrier), and the operator's cost inputs are fixed per
      (gexpr, child requests). Filled in every configuration, since
      [alternatives] rebuilds contexts from it; costing reads it back only
-     under [winner_reuse]. *)
+     under [speedups]. *)
   cost_cache :
     ( int * Props.req list,
       float * float * Props.derived * Props.derived list )
@@ -104,9 +107,8 @@ type t = {
 }
 
 let create ?(workers = 1) ?fuzz_seed ?(obs = false) ?(rule_checks = false)
-    ?(prefilter = true) ?(stats_memo = true) ?(winner_reuse = true)
-    ?(stage_name = "stage") ?(prov = false) ?strata ~ruleset ~model ~factory
-    ~base memo =
+    ?(speedups = true) ?(stage_name = "stage") ?(prov = false) ?strata
+    ~ruleset ~model ~factory ~base memo =
   let strata =
     Option.map
       (fun assoc ->
@@ -136,7 +138,7 @@ let create ?(workers = 1) ?fuzz_seed ?(obs = false) ?(rule_checks = false)
       Gpos.Scheduler.create ~workers
         ?fuzz:(Option.map Gpos.Prng.create fuzz_seed)
         ~policy:
-          (if winner_reuse then Gpos.Scheduler.Lifo else Gpos.Scheduler.Fifo)
+          (if speedups then Gpos.Scheduler.Lifo else Gpos.Scheduler.Fifo)
         ();
     deadline = None;
     counters =
@@ -156,9 +158,8 @@ let create ?(workers = 1) ?fuzz_seed ?(obs = false) ?(rule_checks = false)
     obs;
     rule_stats = Hashtbl.create 64;
     rule_checks;
-    prefilter;
-    stats_memo;
-    winner_reuse;
+    speedups;
+    direct_costing = workers = 1 && speedups && Option.is_none fuzz_seed;
     opt_workers = workers;
     rows_cache = Hashtbl.create 256;
     width_cache = Hashtbl.create 256;
@@ -313,7 +314,7 @@ let gexpr_job t (ge : Memo.gexpr) ~(rules : Xform.Rule.t list)
              for this expression would provably return [], so skip the
              application (and the job) while still marking it applied *)
           let pending, prefiltered =
-            if not t.prefilter then (fresh, [])
+            if not t.speedups then (fresh, [])
             else
               match ge.Memo.ge_op with
               | Expr.Physical _ -> (fresh, [])
@@ -473,7 +474,7 @@ let group_width ?(count = true) t gid =
    inserts nothing into the Memo, so the cached values stay canonical and
    parallel Opt jobs can read the tables lock-free. *)
 let freeze_group_caches t =
-  if t.stats_memo then
+  if t.speedups then
     List.iter
       (fun gid ->
         Hashtbl.replace t.rows_cache gid (compute_group_rows t gid);
@@ -497,7 +498,7 @@ let compute_redistribute_skew t gid es =
 let redistribute_skew ?(count = true) t gid (enf : Props.enforcer) =
   match enf with
   | Props.E_motion (Expr.Redistribute es) ->
-      if not t.stats_memo then compute_redistribute_skew t gid es
+      if not t.speedups then compute_redistribute_skew t gid es
       else begin
         (* col_skew folds over histogram buckets on every enforcer costing;
            memoize per (group, hash exprs). A concurrent duplicate compute
@@ -525,7 +526,7 @@ let redistribute_skew ?(count = true) t gid (enf : Props.enforcer) =
 let base_cost t gid (ge : Memo.gexpr) (op : Expr.physical) child_reqs =
   let cache_key = (ge.Memo.ge_id, child_reqs) in
   let cached =
-    if not t.winner_reuse then None
+    if not t.speedups then None
     else begin
       Mutex.lock t.cost_lock;
       let hit = Hashtbl.find_opt t.cost_cache cache_key in
@@ -684,7 +685,7 @@ let opt_goal gid req = Printf.sprintf "opt:%d:%d" gid (Props.req_fingerprint req
    the key uses the same fingerprint the string itself embeds, so two
    requests share a memo slot exactly when they share a goal string. *)
 let opt_goal_memo t gid req =
-  if not t.winner_reuse then opt_goal gid req
+  if not t.speedups then opt_goal gid req
   else begin
     let key = (gid, Props.req_fingerprint req) in
     Mutex.lock t.goal_lock;
@@ -705,7 +706,7 @@ let opt_goal_memo t gid req =
    mutex acquire on the lookup gives the happens-before ordering the goal
    queue would otherwise provide — safe at any worker count. *)
 let children_already_costed t (ge : Memo.gexpr) child_reqs =
-  t.winner_reuse
+  t.speedups
   (* the sanitizer's race detector models ordering through goal-queue edges
      only; the mutex ordering this elision relies on is invisible to it, so
      keep the full spawn set whenever a trace is being collected *)
@@ -774,7 +775,7 @@ and opt_gexpr_job t ctx gid ge op req =
                  else List.combine children child_reqs)
         in
         let pairs =
-          if not t.winner_reuse then pairs
+          if not t.speedups then pairs
           else begin
             (* the goal queue would deduplicate these anyway, but each spawn
                pays a job allocation, a goal-string format and a queue
@@ -915,7 +916,7 @@ let optimize t (req : Props.req) =
   freeze_group_caches t;
   Memo.set_alternatives t.memo (alternatives t);
   let root = Memo.root t.memo in
-  if t.opt_workers = 1 && t.winner_reuse && not (Gpos.Trace.enabled ()) then
+  if t.direct_costing && not (Gpos.Trace.enabled ()) then
     opt_group_direct t root req
   else
     Gpos.Scheduler.run t.sched_opt

@@ -21,9 +21,7 @@ val create :
   ?fuzz_seed:int ->
   ?obs:bool ->
   ?rule_checks:bool ->
-  ?prefilter:bool ->
-  ?stats_memo:bool ->
-  ?winner_reuse:bool ->
+  ?speedups:bool ->
   ?stage_name:string ->
   ?prov:bool ->
   ?strata:(string * int) list ->
@@ -35,9 +33,10 @@ val create :
   t
 (** [workers = 1] (default) is deterministic; more workers run optimization
     jobs on that many domains. [base] supplies base-table statistics.
-    [fuzz_seed] makes the optimization scheduler dequeue PRNG-chosen jobs
-    (the sanitizer's schedule fuzzer): a different but deterministic
-    interleaving of the same costing work per seed. [obs] (default false)
+    [fuzz_seed] makes costing run as jobs on the optimization scheduler,
+    which dequeues PRNG-chosen jobs (the sanitizer's schedule fuzzer): a
+    different but deterministic interleaving of the same costing work per
+    seed. [obs] (default false)
     additionally collects per-rule firing counts and timings for the
     observability report. [prov] (default false) stamps every rule result
     with its origin — rule, source expression, [stage_name], promise — for
@@ -52,14 +51,15 @@ val create :
     promise order — exploration is a fixpoint with order-independent
     duplicate detection.
 
-    The speedup switches (all default true) never change the chosen plan or
-    its cost: [prefilter] skips rule applications whose root-shape bitmap
-    rules the expression out (the body would return []); [stats_memo]
-    memoizes per-group row counts, row widths and redistribute skew;
-    [winner_reuse] skips spawning child Opt jobs whose context already
-    completed (single-worker schedules only) and reuses the operator's base
-    cost across optimization contexts that differ only in required
-    properties. *)
+    [speedups] (default true) switches the hot-path caches, none of which
+    changes the chosen plan or its cost: the shape prefilter skips rule
+    applications whose root-shape bitmap rules the expression out (the body
+    would return []); the stats memo keeps per-group row counts, row widths
+    and redistribute skew; winner reuse skips spawning child Opt jobs whose
+    context already completed (single-worker schedules only), reuses the
+    operator's base cost across optimization contexts that differ only in
+    required properties, and at one worker without a fuzz seed costs by
+    direct recursion instead of jobs. *)
 
 val set_deadline : t -> float option -> unit
 (** Stage timeout in milliseconds from now; bounds exploration (a plan is

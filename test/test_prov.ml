@@ -334,16 +334,16 @@ let test_dpe_nodes_attributed () =
 
 (* --- structural plan diff --- *)
 
-(* The PR 4 speedups are identity-preserving: two runs differing only in
-   with_rule_prefilter must produce byte-identical plans, and the diff (the
-   CLI's exit-0 path) must say so. *)
+(* The hot-path speedups are identity-preserving: a run with them off must
+   produce a byte-identical plan, and the diff (the CLI's exit-0 path) must
+   say so. *)
 let test_diff_identical_under_prefilter_toggle () =
   let sql = "SELECT t1.a, t2.b FROM t1 JOIN t2 ON t1.b = t2.a ORDER BY t1.a" in
   let a = optimize_sql ~config:(Lazy.force prov_config) (Fixtures.small_accessor ()) sql in
   let b =
     optimize_sql
       ~config:
-        (Orca.Orca_config.with_rule_prefilter (Lazy.force prov_config) false)
+        (Orca.Orca_config.without_speedups (Lazy.force prov_config))
       (Fixtures.small_accessor ()) sql
   in
   let d =

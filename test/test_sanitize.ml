@@ -283,16 +283,24 @@ let plan_sig (r : Orca.Optimizer.report) =
 
 let test_fuzzed_schedules_reproduce_plan () =
   (* every fuzz seed permutes the costing schedule yet must produce exactly
-     the sequential plan and cost (deterministic tie-breaking) *)
+     the sequential plan and cost (deterministic tie-breaking). A fuzzed run
+     costs through scheduler jobs, not the plain run's direct walk, so it
+     creates more jobs; equal counts would mean the fuzzer never ran. *)
   let plain =
     Orca.Orca_config.with_segments Orca.Orca_config.default Fixtures.nsegs
   in
-  let baseline = plan_sig (optimize_with plain fixture_sql) in
+  let plain_report = optimize_with plain fixture_sql in
+  let baseline = plan_sig plain_report in
   for seed = 1 to 8 do
-    let fuzzed =
-      plan_sig
-        (optimize_with (Orca.Orca_config.with_fuzz_seed plain seed) fixture_sql)
+    let report =
+      optimize_with (Orca.Orca_config.with_fuzz_seed plain seed) fixture_sql
     in
+    Alcotest.(check bool)
+      (Printf.sprintf "seed %d ran costing jobs" seed)
+      true
+      (report.Orca.Optimizer.jobs_created
+      > plain_report.Orca.Optimizer.jobs_created);
+    let fuzzed = plan_sig report in
     Alcotest.(check (list string))
       (Printf.sprintf "seed %d matches sequential run" seed)
       []

@@ -61,7 +61,8 @@ let flight_optimize env ?config ~label sql =
         Sqlfront.Binder.bind_sql bind_accessor sql)
   in
   Catalog.Accessor.release bind_accessor;
-  (query, Orca.Flight.optimize ~config ~label ~make_accessor query)
+  let fingerprint = (Server.Normalize.normalize sql).Server.Normalize.fingerprint in
+  (query, Orca.Flight.optimize ~config ~label ~fingerprint ~make_accessor query)
 
 (* The suite-iteration pattern shared by every --suite subcommand: run [f]
    once per bundled TPC-DS query, count clean [Unsupported_query] rejects,

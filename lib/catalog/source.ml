@@ -40,5 +40,3 @@ let bump_stats ?provider t =
   locked t (fun () ->
       Option.iter (fun p -> t.provider <- p) provider;
       t.stats_version <- t.stats_version + 1)
-
-let set_provider t provider = bump_catalog ~provider t

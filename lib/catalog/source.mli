@@ -19,6 +19,3 @@ val bump_catalog : ?provider:Provider.t -> t -> unit
 
 val bump_stats : ?provider:Provider.t -> t -> unit
 (** Record a statistics refresh (ANALYZE): only the stats counter advances. *)
-
-val set_provider : t -> Provider.t -> unit
-(** Replace the provider wholesale; equivalent to [bump_catalog ~provider]. *)

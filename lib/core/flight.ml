@@ -4,7 +4,9 @@
    threshold or fails, re-runs it once with full observability and
    provenance enabled and emits an AMPERe dump — the paper's §6.1
    "automatic capture" extended from failures to latency outliers, the
-   black box for the optimizer-as-a-service north star.
+   black box for the optimizer-as-a-service north star. The caller names
+   the query's shape: the ring entry and the dump file both carry its
+   fingerprint, so a request's reply leads to its dump.
 
    The re-run needs a fresh metadata accessor (the first one's pins were
    released by the optimization), so callers pass a [make_accessor]
@@ -19,9 +21,11 @@ let dump_path ~dir ~fingerprint ~seq =
    the full trace; for a failing query the deterministic re-run fails
    again and [optimize_with_capture] hands back the failure dump with the
    partial trace. Never lets the capture itself take the caller down. The
-   dump is named after [seq], the ring entry number claimed for this query
-   beforehand, so concurrent recaptures of one shape never share a file. *)
-let recapture ~(config : Orca_config.t) ~make_accessor ~reason ~seq query =
+   dump is named after [fingerprint] and [seq], the ring entry number
+   claimed for this query beforehand, so concurrent recaptures of one shape
+   never share a file. *)
+let recapture ~(config : Orca_config.t) ~make_accessor ~reason ~fingerprint
+    ~seq query =
   match Telemetry.Recorder.dump_dir () with
   | None -> None
   | Some dir -> (
@@ -52,11 +56,7 @@ let recapture ~(config : Orca_config.t) ~make_accessor ~reason ~seq query =
               Ampere.embed_report d report
           | Error d -> { d with Ampere.traceflags = flags @ d.Ampere.traceflags }
         in
-        let path =
-          dump_path ~dir
-            ~fingerprint:(Telemetry.Metrics.fingerprint (Dxl.Dxl_query.to_string query))
-            ~seq
-        in
+        let path = dump_path ~dir ~fingerprint ~seq in
         Ampere.save dump path;
         Telemetry.Metrics.inc Telemetry.Std.flight_dumps;
         Some path
@@ -64,14 +64,10 @@ let recapture ~(config : Orca_config.t) ~make_accessor ~reason ~seq query =
 
 (* Monitored optimize: behaves exactly like [Optimizer.optimize] (same
    result, same exceptions) with the flight recorder around it. *)
-let optimize ?(config = Orca_config.default) ?(label = "query") ?fingerprint
+let optimize ?(config = Orca_config.default) ?(label = "query") ~fingerprint
     ~(make_accessor : unit -> Catalog.Accessor.t) (query : Dxl.Dxl_query.t) :
     Optimizer.report =
-  let fingerprint =
-    match fingerprint with
-    | Some f -> f
-    | None -> Telemetry.Metrics.fingerprint (Dxl.Dxl_query.to_string query)
-  in
+  let t0 = Gpos.Clock.now () in
   match Optimizer.optimize ~config (make_accessor ()) query with
   | report ->
       let ms = report.Optimizer.opt_time_ms in
@@ -84,7 +80,9 @@ let optimize ?(config = Orca_config.default) ?(label = "query") ?fingerprint
         if slow then begin
           Telemetry.Metrics.inc Telemetry.Std.flight_slow;
           let seq = Telemetry.Recorder.claim () in
-          (Some seq, recapture ~config ~make_accessor ~reason:"slow" ~seq query)
+          ( Some seq,
+            recapture ~config ~make_accessor ~reason:"slow" ~fingerprint ~seq
+              query )
         end
         else (None, None)
       in
@@ -102,14 +100,17 @@ let optimize ?(config = Orca_config.default) ?(label = "query") ?fingerprint
       Telemetry.Metrics.inc Telemetry.Std.unsupported;
       raise (Optimizer.Unsupported_query msg)
   | exception e ->
+      (* the failed attempt's own duration, before the recapture re-runs it *)
+      let ms = Gpos.Clock.ms_since t0 in
       Telemetry.Metrics.inc Telemetry.Std.failures;
       Telemetry.Metrics.inc Telemetry.Std.flight_failed;
       let seq = Telemetry.Recorder.claim () in
       let dump =
-        recapture ~config ~make_accessor ~reason:"failed" ~seq query
+        recapture ~config ~make_accessor ~reason:"failed" ~fingerprint ~seq
+          query
       in
       ignore
-        (Telemetry.Recorder.record ~seq ~label ~fingerprint ~ms:0.0 ~groups:0
+        (Telemetry.Recorder.record ~seq ~label ~fingerprint ~ms ~groups:0
            ~gexprs:0 ~cost:0.0 ~phases:[]
            ~status:(Telemetry.Recorder.Failed (Printexc.to_string e))
            ?dump ());

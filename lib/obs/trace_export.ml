@@ -121,10 +121,12 @@ type violation = {
   v_children_us : float;
 }
 
+(* clock granularity a span's children may overrun it by *)
+let slack_us = 200.0
+
 (* Children of a span must sum to at most the span's own duration (plus
-   [slack_us] for clock granularity). Returns the violating parents. *)
-let check_consistency ?(slack_us = 200.0) (events : Span.event list) :
-    violation list =
+   [slack_us]). Returns the violating parents. *)
+let check_consistency (events : Span.event list) : violation list =
   aggregate events
   |> List.filter_map (fun a ->
          if a.ag_child_us > a.ag_total_us +. slack_us then

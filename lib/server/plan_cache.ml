@@ -120,7 +120,6 @@ let rebind ~old_params ~new_params (plan : Expr.plan) : Expr.plan option =
 type key = { k_fp : string; k_catalog : int; k_stats : int }
 
 type variant = {
-  v_params_key : string;
   v_params : Datum.t list;
   v_plan : Expr.plan;
   v_json : string option Atomic.t;
@@ -131,12 +130,7 @@ type variant = {
 }
 
 let make_variant params plan =
-  {
-    v_params_key = Normalize.params_key params;
-    v_params = params;
-    v_plan = plan;
-    v_json = Atomic.make None;
-  }
+  { v_params = params; v_plan = plan; v_json = Atomic.make None }
 
 let variant_plan v = v.v_plan
 
@@ -232,9 +226,10 @@ let lookup t ~fp ~norm_text ~params ~catalog_version ~stats_version =
           Absent
       | Some entry -> (
           touch t entry;
-          let pkey = Normalize.params_key params in
-          match
-            List.find_opt (fun v -> v.v_params_key = pkey) entry.e_variants
+          (* structural equality is exact on lexer literals: [Int 10] and
+             [Float 10.0] differ by constructor, and the lexer makes no NaN
+             and no -0.0 *)
+          match List.find_opt (fun v -> v.v_params = params) entry.e_variants
           with
           | Some v ->
               (* exact binding variant: MRU it and return the plan as-is *)
@@ -295,11 +290,7 @@ let add t ~fp ~norm_text ~params ~catalog_version ~stats_version plan =
           t.collisions <- t.collisions + 1;
           Telemetry.Metrics.inc Telemetry.Std.plan_cache_collisions
       | Some entry ->
-          let kept =
-            List.filter
-              (fun v -> v.v_params_key <> variant.v_params_key)
-              entry.e_variants
-          in
+          let kept = List.filter (fun v -> v.v_params <> params) entry.e_variants in
           let kept =
             if List.length kept >= t.max_variants then
               List.filteri (fun i _ -> i < t.max_variants - 1) kept

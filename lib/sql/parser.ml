@@ -7,7 +7,7 @@
 type t = {
   mutable toks : Token.t list;
   mutable nlits : int;
-      (* INT/FLOAT/STRING tokens consumed so far: after consuming a literal,
+      (* [Token.param] tokens consumed so far: after consuming a literal,
          its parameter slot *)
 }
 
@@ -22,10 +22,9 @@ let peek2 p = match p.toks with _ :: tok :: _ -> tok | _ -> Token.EOF
 
 let advance p =
   match p.toks with
-  | (Token.INT _ | Token.FLOAT _ | Token.STRING _) :: rest ->
-      p.nlits <- p.nlits + 1;
+  | tok :: rest ->
+      if Option.is_some (Token.param tok) then p.nlits <- p.nlits + 1;
       p.toks <- rest
-  | _ :: rest -> p.toks <- rest
   | [] -> ()
 
 let eat p tok =

@@ -22,6 +22,15 @@ let keywords =
 
 let is_keyword s = List.mem (String.uppercase_ascii s) keywords
 
+(* The tokens that are query parameters, as the datum each one carries: the
+   one choice behind both the parser's slot numbers and the parameter
+   vector [Server.Normalize] lifts, so slot k is always the k-th of them. *)
+let param = function
+  | INT n -> Some (Ir.Datum.Int n)
+  | FLOAT f -> Some (Ir.Datum.Float f)
+  | STRING s -> Some (Ir.Datum.String s)
+  | IDENT _ | KEYWORD _ | SYMBOL _ | EOF -> None
+
 let to_string = function
   | IDENT s -> Printf.sprintf "identifier %S" s
   | INT n -> string_of_int n

@@ -19,8 +19,12 @@ type check = { c_name : string; c_ok : bool; c_detail : string }
 
 type verdict = { ready : bool; checks : check list }
 
-let evaluate ?(max_error_rate = 0.10) ?(max_occupancy = 0.95) (i : input) :
-    verdict =
+(* Readiness thresholds: at most 10% of requests may have failed, and the
+   cache must be under 95% full. *)
+let max_error_rate = 0.10
+let max_occupancy = 0.95
+
+let evaluate (i : input) : verdict =
   let error_rate =
     if i.h_requests = 0 then 0.0
     else float_of_int i.h_errors /. float_of_int i.h_requests

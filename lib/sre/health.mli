@@ -25,11 +25,10 @@ type check = { c_name : string; c_ok : bool; c_detail : string }
 
 type verdict = { ready : bool; checks : check list }
 
-val evaluate : ?max_error_rate:float -> ?max_occupancy:float -> input -> verdict
-(** Checks, in order: [error-rate] (errors/requests at or under
-    [max_error_rate], default 0.10; an idle server passes),
-    [cache-occupancy] (entries/capacity under [max_occupancy], default
-    0.95 — a full cache still serves, but eviction churn is imminent),
+val evaluate : input -> verdict
+(** Checks, in order: [error-rate] (errors/requests at or under 0.10; an
+    idle server passes), [cache-occupancy] (entries/capacity under 0.95 — a
+    full cache still serves, but eviction churn is imminent),
     [slo-latency] and [slo-availability] (from the report, when given).
     [ready] is the conjunction. *)
 

@@ -282,57 +282,3 @@ let snapshot t =
       samples
   in
   { snap_ts = Gpos.Clock.now (); samples }
-
-(* ------------------------------------------------------------------ *)
-(* Query fingerprinting                                                *)
-
-(* Normalize a query text (literals -> '?', case-folded, whitespace
-   collapsed) and hash it with 64-bit FNV-1a. Two invocations of the same
-   query shape share a fingerprint, which is what the flight recorder
-   keys its summaries on. *)
-let fingerprint text =
-  let buf = Buffer.create (String.length text) in
-  let n = String.length text in
-  let is_ident c =
-    (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
-    || c = '_'
-  in
-  let rec go i prev_ident prev_space =
-    if i >= n then ()
-    else
-      let c = text.[i] in
-      if c = '\'' || c = '"' then begin
-        (* string literal: skip to the closing quote (or end) *)
-        let rec skip j =
-          if j >= n then n else if text.[j] = c then j + 1 else skip (j + 1)
-        in
-        Buffer.add_char buf '?';
-        go (skip (i + 1)) false false
-      end
-      else if c >= '0' && c <= '9' && not prev_ident then begin
-        let rec skip j =
-          if j < n && ((text.[j] >= '0' && text.[j] <= '9') || text.[j] = '.')
-          then skip (j + 1)
-          else j
-        in
-        Buffer.add_char buf '?';
-        go (skip i) false false
-      end
-      else if c = ' ' || c = '\t' || c = '\n' || c = '\r' then begin
-        if not prev_space then Buffer.add_char buf ' ';
-        go (i + 1) false true
-      end
-      else begin
-        Buffer.add_char buf (Char.lowercase_ascii c);
-        go (i + 1) (is_ident c) false
-      end
-  in
-  go 0 false true;
-  let s = Buffer.contents buf in
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    s;
-  Printf.sprintf "%016Lx" !h

@@ -95,10 +95,3 @@ type snapshot = { snap_ts : float; samples : sample list }
 val snapshot : t -> snapshot
 (** Samples sorted by (name, labels); [snap_ts] comes from [Gpos.Clock]
     so snapshots are deterministic under [Clock.with_fake]. *)
-
-(* -- query fingerprinting ------------------------------------------ *)
-
-val fingerprint : string -> string
-(** 64-bit FNV-1a hex digest of the normalized query text (literals
-    replaced by '?', case-folded, whitespace collapsed): the flight
-    recorder's key for "same query shape". *)

@@ -10,7 +10,9 @@ type entry = {
   e_seq : int;                     (** 1-based, monotonically increasing *)
   e_ts : float;                    (** [Gpos.Clock.now] at record time *)
   e_label : string;
-  e_fingerprint : string;
+  e_fingerprint : string;          (** the query's shape key, from the
+                                       caller (a server request's
+                                       [Normalize] fingerprint) *)
   e_ms : float;
   e_groups : int;
   e_gexprs : int;

@@ -320,10 +320,22 @@ let test_health_degraded () =
     (check_of errs "error-rate").H.c_ok;
   let full = H.evaluate { base_input with H.h_cache_entries = 250 } in
   Alcotest.(check bool) "a near-full cache degrades" false full.H.ready;
-  let tighter =
-    H.evaluate ~max_error_rate:0.005 { base_input with H.h_errors = 1 }
+  (* the fixed thresholds, at their boundaries *)
+  let error_ok errors =
+    (check_of (H.evaluate { base_input with H.h_errors = errors }) "error-rate")
+      .H.c_ok
   in
-  Alcotest.(check bool) "thresholds are tunable" false tighter.H.ready
+  Alcotest.(check bool) "10% errors pass" true (error_ok 10);
+  Alcotest.(check bool) "11% errors fail" false (error_ok 11);
+  let occupancy_ok entries =
+    (check_of
+       (H.evaluate
+          { base_input with H.h_cache_entries = entries; h_cache_capacity = 100 })
+       "cache-occupancy")
+      .H.c_ok
+  in
+  Alcotest.(check bool) "94% occupancy passes" true (occupancy_ok 94);
+  Alcotest.(check bool) "95% occupancy fails" false (occupancy_ok 95)
 
 let test_health_slo_checks () =
   Gpos.Clock.with_fake (fun () ->

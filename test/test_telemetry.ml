@@ -122,8 +122,12 @@ let test_registry () =
   M.inc c1;
   Alcotest.(check int) "handles survive reset" 1 (M.counter_value c1)
 
+(* a query's shape key: the server's normalizer, the one place it is
+   computed, which the flight recorder files entries and dumps under *)
+let fingerprint sql = (Server.Normalize.normalize sql).Server.Normalize.fingerprint
+
 let test_fingerprint () =
-  let fp = M.fingerprint in
+  let fp = fingerprint in
   Alcotest.(check string)
     "literals and case normalized"
     (fp "SELECT a FROM t WHERE b = 42")
@@ -268,7 +272,8 @@ let test_flight_slow_trigger () =
       let report =
         Orca.Flight.optimize
           ~config:(Lazy.force orca_config)
-          ~label:"flight-test" ~make_accessor:small_accessor query
+          ~label:"flight-test" ~fingerprint:(fingerprint sql)
+          ~make_accessor:small_accessor query
       in
       (* every query is over a 0ms threshold: ring entry marked slow *)
       let entry =
@@ -309,16 +314,39 @@ let test_flight_ok_entry () =
   (* threshold disabled: the query still lands in the ring, status ok,
      and no dump is attempted *)
   let accessor = small_accessor () in
-  let query = Sqlfront.Binder.bind_sql accessor "SELECT t1.a FROM t1" in
+  let sql = "SELECT t1.a FROM t1" in
+  let query = Sqlfront.Binder.bind_sql accessor sql in
   let _report =
     Orca.Flight.optimize
       ~config:(Lazy.force orca_config)
-      ~label:"ok-test" ~make_accessor:small_accessor query
+      ~label:"ok-test" ~fingerprint:(fingerprint sql)
+      ~make_accessor:small_accessor query
   in
   match List.rev (R.entries ()) with
   | e :: _ ->
       Alcotest.(check string) "status" "ok" (R.status_string e.R.e_status);
       Alcotest.(check bool) "no dump" true (e.R.e_dump = None)
+  | [] -> Alcotest.fail "no flight entry recorded"
+
+(* A failed optimization records how long the failed attempt ran, not 0:
+   a config without stages fails inside the optimizer, after the clock
+   started. *)
+let test_flight_failed_duration () =
+  R.clear ();
+  let sql = "SELECT t1.a FROM t1" in
+  let query = Sqlfront.Binder.bind_sql (small_accessor ()) sql in
+  let config = Orca.Orca_config.with_stages (Lazy.force orca_config) [] in
+  Gpos.Clock.with_fake (fun () ->
+      match
+        Orca.Flight.optimize ~config ~label:"fail-test"
+          ~fingerprint:(fingerprint sql) ~make_accessor:small_accessor query
+      with
+      | _ -> Alcotest.fail "a config without stages optimized"
+      | exception Gpos.Gpos_error.Error _ -> ());
+  match List.rev (R.entries ()) with
+  | e :: _ ->
+      Alcotest.(check string) "status" "failed" (R.status_string e.R.e_status);
+      Alcotest.(check bool) "the failed attempt's duration" true (e.R.e_ms > 0.0)
   | [] -> Alcotest.fail "no flight entry recorded"
 
 (* Concurrent slow misses of one shape (server sessions run
@@ -343,8 +371,8 @@ let test_flight_concurrent_dumps () =
         ignore
           (Orca.Flight.optimize
              ~config:(Lazy.force orca_config)
-             ~label:(Printf.sprintf "race-%d" i) ~make_accessor:small_accessor
-             query)
+             ~label:(Printf.sprintf "race-%d" i) ~fingerprint:(fingerprint sql)
+             ~make_accessor:small_accessor query)
       in
       let n = 4 in
       List.init n (fun i -> Thread.create run i) |> List.iter Thread.join;
@@ -394,6 +422,8 @@ let suite =
     Alcotest.test_case "flight recorder slow trigger" `Quick
       test_flight_slow_trigger;
     Alcotest.test_case "flight recorder ok entry" `Quick test_flight_ok_entry;
+    Alcotest.test_case "flight recorder failed entry duration" `Quick
+      test_flight_failed_duration;
     Alcotest.test_case "flight dumps of concurrent misses" `Quick
       test_flight_concurrent_dumps;
     Alcotest.test_case "std instrumentation" `Quick test_std_instrumentation;

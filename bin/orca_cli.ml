@@ -56,10 +56,11 @@ let flight_optimize env ?config ~label sql =
     Catalog.Accessor.create ~provider:env.provider ~cache:env.cache ()
   in
   let bind_accessor = make_accessor () in
-  let query =
-    Telemetry.Std.time_phase "parse-bind" (fun () ->
+  let query, ms =
+    Obs.Span.timed ~name:"parse-bind" (fun () ->
         Sqlfront.Binder.bind_sql bind_accessor sql)
   in
+  Telemetry.Std.observe_phase "parse-bind" ms;
   Catalog.Accessor.release bind_accessor;
   let fingerprint = (Server.Normalize.normalize sql).Server.Normalize.fingerprint in
   (query, Orca.Flight.optimize ~config ~label ~fingerprint ~make_accessor query)

@@ -17,14 +17,12 @@ type dump = {
   expected_plan : Ir.Expr.plan option;
   profile : string option;     (* rendered Obs.Report summary *)
   trace_json : string option;  (* Chrome trace_event JSON of the session *)
-  prov : Dxl.Dxl_prov.plan_prov option;  (* per-node plan provenance *)
-  accuracy : Dxl.Dxl_prov.accuracy option; (* per-class Q-error, if executed *)
+  prov : Dxl.Xml.element option;  (* dxl:Provenance, as written or read *)
 }
 
 (* --- capture --- *)
 
 let capture ?(stacktrace = None) ?(traceflags = []) ?expected_plan
-    ?(profile = None) ?(trace_json = None) ?(prov = None) ?(accuracy = None)
     (accessor : Catalog.Accessor.t) (query : Dxl.Dxl_query.t) : dump =
   {
     stacktrace;
@@ -32,60 +30,47 @@ let capture ?(stacktrace = None) ?(traceflags = []) ?expected_plan
     metadata = Catalog.Accessor.accessed_objects accessor;
     query;
     expected_plan;
-    profile;
-    trace_json;
-    prov;
-    accuracy;
+    profile = None;
+    trace_json = None;
+    prov = None;
   }
 
-(* lib/dxl sits below lib/prov, so the serializable mirror is built here. *)
-let prov_to_dxl (p : Prov.Provenance.t) : Dxl.Dxl_prov.plan_prov =
-  {
-    Dxl.Dxl_prov.pp_stage = p.Prov.Provenance.p_stage;
-    pp_nodes =
-      List.map
-        (fun (np : Prov.Provenance.node_prov) ->
-          let kind, lineage, losers, best_delta =
-            match np.Prov.Provenance.np_kind with
-            | Prov.Provenance.K_operator oi ->
-                ( "operator",
-                  Prov.Provenance.lineage_to_string
-                    oi.Prov.Provenance.oi_lineage,
-                  List.length oi.Prov.Provenance.oi_losers,
-                  match oi.Prov.Provenance.oi_losers with
-                  | lo :: _ -> lo.Prov.Provenance.lo_delta
-                  | [] -> 0.0 )
-            | Prov.Provenance.K_enforcer why -> ("enforcer", why, 0, 0.0)
-            | Prov.Provenance.K_synthetic why -> ("synthetic", why, 0, 0.0)
-          in
-          {
-            Dxl.Dxl_prov.np_id = np.Prov.Provenance.np_id;
-            np_path = np.Prov.Provenance.np_path;
-            np_op = np.Prov.Provenance.np_op;
-            np_kind = kind;
-            np_lineage = lineage;
-            np_cost = np.Prov.Provenance.np_cost;
-            np_est_rows = np.Prov.Provenance.np_est_rows;
-            np_losers = losers;
-            np_best_delta = best_delta;
-          })
-        p.Prov.Provenance.p_nodes;
-  }
-
-let acc_to_dxl (acc : Obs.Report.acc_stat list) : Dxl.Dxl_prov.accuracy =
-  {
-    Dxl.Dxl_prov.acc_classes =
-      List.map
-        (fun (a : Obs.Report.acc_stat) ->
-          {
-            Dxl.Dxl_prov.ca_class = a.Obs.Report.a_class;
-            ca_nodes = a.Obs.Report.a_nodes;
-            ca_geomean = Obs.Report.acc_geomean a;
-            ca_max = a.Obs.Report.a_max;
-            ca_unobserved = a.Obs.Report.a_unobserved;
-          })
-        acc;
-  }
+(* The dxl:Provenance section, rendered straight from lib/prov's record:
+   one dxl:NodeProv per plan node in preorder, with its rule lineage (or
+   the enforcer/synthetic reason), cost, estimated rows, and the number of
+   losing alternatives with the cheapest one's cost delta. *)
+let prov_to_xml (p : Prov.Provenance.t) : Dxl.Xml.element =
+  let open Prov.Provenance in
+  let fixed = Printf.sprintf "%.6f" in
+  let node np =
+    let kind, lineage, losers, best_delta =
+      match np.np_kind with
+      | K_operator oi ->
+          ( "operator",
+            lineage_to_string oi.oi_lineage,
+            List.length oi.oi_losers,
+            match oi.oi_losers with lo :: _ -> lo.lo_delta | [] -> 0.0 )
+      | K_enforcer why -> ("enforcer", why, 0, 0.0)
+      | K_synthetic why -> ("synthetic", why, 0, 0.0)
+    in
+    Dxl.Xml.Element
+      (Dxl.Xml.element "dxl:NodeProv"
+         ~attrs:
+           [
+             ("Id", string_of_int np.np_id);
+             ("Path", np.np_path);
+             ("Op", np.np_op);
+             ("Kind", kind);
+             ("Lineage", lineage);
+             ("Cost", fixed np.np_cost);
+             ("EstRows", fixed np.np_est_rows);
+             ("Losers", string_of_int losers);
+             ("BestDelta", fixed best_delta);
+           ])
+  in
+  Dxl.Xml.element "dxl:Provenance"
+    ~attrs:[ ("Stage", p.p_stage) ]
+    ~children:(List.map node p.p_nodes)
 
 (* Embed the observability report of a completed optimization: the rendered
    summary plus the Perfetto-loadable trace, so a dump carries the profile of
@@ -95,7 +80,7 @@ let embed_report (d : dump) (report : Optimizer.report) : dump =
     (* provenance travels with the dump whenever it was collected *)
     match report.Optimizer.prov with
     | None -> d
-    | Some p -> { d with prov = Some (prov_to_dxl p) }
+    | Some p -> { d with prov = Some (prov_to_xml p) }
   in
   match report.Optimizer.obs with
   | None -> d
@@ -110,16 +95,7 @@ let embed_report (d : dump) (report : Optimizer.report) : dump =
           | [] -> d.trace_json
           | spans ->
               Some (String.trim (Obs.Trace_export.to_chrome_json spans)));
-        accuracy =
-          (match r.Obs.Report.acc with
-          | [] -> d.accuracy
-          | acc -> Some (acc_to_dxl acc));
       }
-
-(* Embed per-class cardinality accuracy measured by an execution of the
-   dumped plan. *)
-let embed_accuracy (d : dump) (acc : Obs.Report.acc_stat list) : dump =
-  if acc = [] then d else { d with accuracy = Some (acc_to_dxl acc) }
 
 (* Capture a dump for a failed optimization. *)
 let capture_exn (accessor : Catalog.Accessor.t) (query : Dxl.Dxl_query.t)
@@ -209,13 +185,7 @@ let to_xml (d : dump) : Dxl.Xml.element =
             Dxl.Xml.Element
               (Dxl.Xml.element "dxl:ObsTrace" ~children:[ Dxl.Xml.Text t ]);
           ])
-    @ (match d.prov with
-      | None -> []
-      | Some p -> [ Dxl.Xml.Element (Dxl.Dxl_prov.to_xml p) ])
-    @
-    match d.accuracy with
-    | None -> []
-    | Some a -> [ Dxl.Xml.Element (Dxl.Dxl_prov.accuracy_to_xml a) ]
+    @ match d.prov with None -> [] | Some p -> [ Dxl.Xml.Element p ]
   in
   Dxl.Xml.element "dxl:DXLMessage"
     ~attrs:[ ("xmlns:dxl", "http://greenplum.com/dxl/v1") ]
@@ -247,13 +217,7 @@ let of_xml (root : Dxl.Xml.element) : dump =
   let trace_json =
     Option.map Dxl.Xml.text_content (Dxl.Xml.find_child thread "dxl:ObsTrace")
   in
-  let prov =
-    Option.map Dxl.Dxl_prov.of_xml (Dxl.Xml.find_child thread "dxl:Provenance")
-  in
-  let accuracy =
-    Option.map Dxl.Dxl_prov.accuracy_of_xml
-      (Dxl.Xml.find_child thread "dxl:Accuracy")
-  in
+  let prov = Dxl.Xml.find_child thread "dxl:Provenance" in
   {
     stacktrace;
     traceflags;
@@ -263,7 +227,6 @@ let of_xml (root : Dxl.Xml.element) : dump =
     profile;
     trace_json;
     prov;
-    accuracy;
   }
 
 let of_string (s : string) : dump = of_xml (Dxl.Xml.of_string s)

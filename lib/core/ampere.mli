@@ -19,41 +19,29 @@ type dump = {
   trace_json : string option;
       (** Chrome trace_event JSON of the session's spans (partial trace up
           to the exception on failure captures) *)
-  prov : Dxl.Dxl_prov.plan_prov option;
-      (** per-node provenance of the captured plan (rule lineage, losing
-          alternative counts) *)
-  accuracy : Dxl.Dxl_prov.accuracy option;
-      (** per-operator-class Q-error, when the plan was also executed *)
+  prov : Dxl.Xml.element option;
+      (** the [dxl:Provenance] section: one [dxl:NodeProv] per plan node in
+          preorder with its rule lineage (or enforcer reason), cost,
+          estimated rows and losing-alternative count. Rendered from
+          {!Prov.Provenance.t} by {!embed_report}; a loaded dump keeps the
+          element it read, so it round-trips unchanged. *)
 }
 
 val capture :
   ?stacktrace:string option ->
   ?traceflags:(string * string) list ->
   ?expected_plan:Ir.Expr.plan ->
-  ?profile:string option ->
-  ?trace_json:string option ->
-  ?prov:Dxl.Dxl_prov.plan_prov option ->
-  ?accuracy:Dxl.Dxl_prov.accuracy option ->
   Catalog.Accessor.t ->
   Dxl.Dxl_query.t ->
   dump
 (** Capture a dump from a completed (or attempted) optimization session; the
-    metadata is exactly the set of objects the accessor touched. *)
-
-val prov_to_dxl : Prov.Provenance.t -> Dxl.Dxl_prov.plan_prov
-(** Serializable mirror of a provenance annotation (lib/dxl sits below
-    lib/prov, so the conversion lives here). *)
-
-val acc_to_dxl : Obs.Report.acc_stat list -> Dxl.Dxl_prov.accuracy
+    metadata is exactly the set of objects the accessor touched. The
+    introspection sections start empty: {!embed_report} fills them. *)
 
 val embed_report : dump -> Optimizer.report -> dump
-(** Attach the report's observability summary, trace, provenance annotation
-    and accuracy table (whichever the report has) so the dump carries the
-    full introspection record of the session it reproduces. *)
-
-val embed_accuracy : dump -> Obs.Report.acc_stat list -> dump
-(** Attach per-class cardinality accuracy measured by executing the dumped
-    plan. *)
+(** Attach the report's observability summary, trace and provenance
+    annotation (whichever the report has) so the dump carries the
+    introspection record of the session it reproduces. *)
 
 val capture_exn :
   Catalog.Accessor.t -> Dxl.Dxl_query.t -> exn -> string -> dump

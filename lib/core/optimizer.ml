@@ -255,7 +255,7 @@ let optimize_inner ~(config : Orca_config.t) (accessor : Catalog.Accessor.t)
     opt_time_ms = opt_ms;
     groups = memo_stat.Obs.Report.m_groups;
     gexprs = memo_stat.Obs.Report.m_gexprs;
-    contexts = search.Obs.Report.c_contexts;
+    contexts = memo_stat.Obs.Report.m_ctx_created;
     jobs_created = sched.Gpos.Scheduler.p_jobs_created;
     jobs_run = sched.Gpos.Scheduler.p_jobs_run;
     goal_hits = sched.Gpos.Scheduler.p_goal_hits;

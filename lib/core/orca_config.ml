@@ -5,7 +5,6 @@
 type t = {
   stages : Xform.Ruleset.stage list;
   workers : int;             (* optimization worker threads (§4.2) *)
-  segments : int;            (* target cluster size *)
   model : Cost.Cost_model.t;
   decorrelate : bool;        (* pull correlated subqueries into joins *)
   prune_columns : bool;      (* narrow join inputs to needed columns *)
@@ -39,7 +38,6 @@ let default =
   {
     stages = Xform.Ruleset.single_stage;
     workers = 1;
-    segments = Cost.Cost_model.default.Cost.Cost_model.segments;
     model = Cost.Cost_model.default;
     decorrelate = true;
     prune_columns = true;
@@ -54,7 +52,7 @@ let default =
   }
 
 let with_segments t segments =
-  { t with segments; model = Cost.Cost_model.with_segments t.model segments }
+  { t with model = Cost.Cost_model.with_segments t.model segments }
 
 let with_workers t workers = { t with workers }
 

@@ -6,7 +6,6 @@ type t = {
   stages : Xform.Ruleset.stage list;
       (** run in order; a stage's cost threshold stops the staging early *)
   workers : int;       (** optimization worker domains (§4.2) *)
-  segments : int;      (** target cluster size *)
   model : Cost.Cost_model.t;
   decorrelate : bool;  (** pull correlated subqueries into joins *)
   prune_columns : bool; (** narrow join inputs to the needed columns *)
@@ -48,7 +47,7 @@ type t = {
 val default : t
 
 val with_segments : t -> int -> t
-(** Set the cluster size on both the config and its cost model. *)
+(** Set the cluster size the cost model prices plans for. *)
 
 val with_workers : t -> int -> t
 val with_stages : t -> Xform.Ruleset.stage list -> t

@@ -7,14 +7,10 @@ open Ir
 
 let table_rows (cluster : Cluster.t) (td : Table_desc.t) : Datum.t array list =
   let data = Cluster.table cluster td.Table_desc.name in
-  match
-    Hashtbl.length cluster.Cluster.tables >= 0 (* data loaded *)
-  with
-  | _ -> (
-      (* replicated tables store a full copy per segment: take one *)
-      match td.Table_desc.dist with
-      | Table_desc.Dist_replicated -> data.Cluster.segments.(0)
-      | _ -> List.concat (Array.to_list data.Cluster.segments))
+  (* replicated tables store a full copy per segment: take one *)
+  match td.Table_desc.dist with
+  | Table_desc.Dist_replicated -> data.Cluster.segments.(0)
+  | _ -> List.concat (Array.to_list data.Cluster.segments)
 
 let env_of ~(params : Datum.t Colref.Map.t) (schema : Colref.t list)
     (row : Datum.t array) : Scalar_eval.env =

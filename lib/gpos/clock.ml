@@ -22,12 +22,6 @@ let now () =
 
 let ms_since t0 = (now () -. t0) *. 1000.0
 
-(* Time a thunk; returns (result, elapsed milliseconds). *)
-let time f =
-  let t0 = now () in
-  let r = f () in
-  (r, ms_since t0)
-
 (* Run [f] under a deterministic clock starting at [start] seconds and
    advancing [step] seconds per [now] call; restores the previous clock. *)
 let with_fake ?(start = 0.0) ?(step = 0.001) f =

@@ -6,9 +6,6 @@ val now : unit -> float
 val ms_since : float -> float
 (** Milliseconds elapsed since a [now ()] reading. *)
 
-val time : (unit -> 'a) -> 'a * float
-(** Run a thunk; return its result and the elapsed milliseconds. *)
-
 val with_fake : ?start:float -> ?step:float -> (unit -> 'a) -> 'a
 (** Run a thunk under a deterministic clock: [now] starts at [start]
     (default 0) and advances [step] seconds (default 0.001) per call, so

@@ -37,15 +37,15 @@ type memo_stat = {
 }
 
 (* Search work counts of one engine: rule applications, costing and the
-   caches that skip work. *)
+   caches that skip work. Contexts and the alternatives offered to them are
+   Memo events, counted once in [memo_stat] ([m_ctx_created] and
+   [alternatives_offered]). *)
 type search_stat = {
   c_xforms : int;            (* transformation-rule applications *)
   c_xform_results : int;     (* alternatives produced by rule applications *)
   c_prefilter_skips : int;   (* rule applications pruned by the shape bitmap *)
-  c_contexts : int;          (* optimization contexts created by the engine *)
   c_op_costings : int;       (* Cost_model.op_cost invocations *)
   c_enforcer_costings : int; (* Cost_model.enforcer_cost invocations *)
-  c_alternatives : int;      (* alternatives costed and offered to contexts *)
   c_deadline_checks : int;
   c_stats_hits : int;        (* rows/width/skew served from the stats memo *)
   c_base_reuses : int;       (* op+children base costs served from cache *)
@@ -99,10 +99,8 @@ let empty_search =
     c_xforms = 0;
     c_xform_results = 0;
     c_prefilter_skips = 0;
-    c_contexts = 0;
     c_op_costings = 0;
     c_enforcer_costings = 0;
-    c_alternatives = 0;
     c_deadline_checks = 0;
     c_stats_hits = 0;
     c_base_reuses = 0;
@@ -128,6 +126,10 @@ let with_exec t kv = { t with exec = kv }
 let with_spans t spans = { t with spans }
 let with_acc t acc = { t with acc }
 
+(* Alternatives offered to optimization contexts: each offer either
+   replaces the winner or keeps it. *)
+let alternatives_offered m = m.m_winner_updates + m.m_winner_kept
+
 let acc_geomean a = if a.a_nodes = 0 then 1.0 else exp (a.a_log_sum /. float_of_int a.a_nodes)
 
 (* --- merging --- *)
@@ -152,10 +154,8 @@ let merge_search a b =
     c_xforms = a.c_xforms + b.c_xforms;
     c_xform_results = a.c_xform_results + b.c_xform_results;
     c_prefilter_skips = a.c_prefilter_skips + b.c_prefilter_skips;
-    c_contexts = a.c_contexts + b.c_contexts;
     c_op_costings = a.c_op_costings + b.c_op_costings;
     c_enforcer_costings = a.c_enforcer_costings + b.c_enforcer_costings;
-    c_alternatives = a.c_alternatives + b.c_alternatives;
     c_deadline_checks = a.c_deadline_checks + b.c_deadline_checks;
     c_stats_hits = a.c_stats_hits + b.c_stats_hits;
     c_base_reuses = a.c_base_reuses + b.c_base_reuses;
@@ -299,7 +299,7 @@ let to_string ?(top = 10) t =
     m.m_inserts m.m_dedup_hits (pct m.m_dedup_hits m.m_inserts) m.m_merges;
   pf "  contexts: created=%d cache-hits=%d  winners: updates=%d kept=%d (%.1f%% cache efficiency)\n"
     m.m_ctx_created m.m_ctx_cache_hits m.m_winner_updates m.m_winner_kept
-    (pct m.m_winner_kept (m.m_winner_updates + m.m_winner_kept));
+    (pct m.m_winner_kept (alternatives_offered m));
   if m.m_ops_interned > 0 || m.m_intern_hits > 0 then
     pf "  interning: %d distinct operator payloads, %d hits (%.1f%% shared)\n"
       m.m_ops_interned m.m_intern_hits
@@ -315,7 +315,8 @@ let to_string ?(top = 10) t =
   (* cost model *)
   let c = t.search in
   pf "cost model: op-costings=%d enforcer-costings=%d alternatives=%d deadline-checks=%d\n"
-    c.c_op_costings c.c_enforcer_costings c.c_alternatives c.c_deadline_checks;
+    c.c_op_costings c.c_enforcer_costings (alternatives_offered m)
+    c.c_deadline_checks;
   if c.c_base_reuses > 0 || c.c_winner_skips > 0 then
     pf "cost reuse: base-costs=%d winner-skips=%d\n" c.c_base_reuses
       c.c_winner_skips;

@@ -41,8 +41,8 @@ let lying_shape_mask =
       | _ -> [])
 
 (* Inserts into the Memo from inside [apply] instead of returning the
-   alternative. Caught by rule/memo-mutation (and, with
-   the engine's [~rule_checks] debug mode, by its central checksum). *)
+   alternative. Caught by rule/memo-mutation, which checksums the Memo
+   around every rule's [apply]. *)
 let memo_mutator =
   Rule.make ~name:"MemoMutator" ~kind:Rule.Exploration
     ~shapes:[ Logical_ops.S_get ]

@@ -15,8 +15,6 @@ module Mexpr = Memolib.Mexpr
 type acounters = {
   a_xform_applied : int Atomic.t;
   a_xform_results : int Atomic.t;
-  a_alternatives_costed : int Atomic.t;
-  a_contexts_created : int Atomic.t;
   a_op_costings : int Atomic.t;       (* Cost_model.op_cost invocations *)
   a_enf_costings : int Atomic.t;      (* Cost_model.enforcer_cost invocations *)
   a_deadline_checks : int Atomic.t;
@@ -54,12 +52,6 @@ type t = {
   counters : acounters;
   obs : bool; (* collect per-rule timings for the observability report *)
   rule_stats : (int, rule_stat) Hashtbl.t; (* rule id -> profile *)
-  rule_checks : bool;
-      (* debug mode: checksum the Memo around every [Rule.apply] to enforce
-         the no-mutation contract of rule.mli at the engine's single
-         application site (rule application is funnelled through the
-         sequential exploration/implementation scheduler, so the window
-         contains nothing but the apply) *)
   strata : (string, int) Hashtbl.t option;
       (* stage-ordered rule scheduling (lib/interact stratification): rule
          name -> stratum. When set, pending rules sort by (stratum
@@ -106,8 +98,8 @@ type t = {
   goal_lock : Mutex.t;
 }
 
-let create ?(workers = 1) ?fuzz_seed ?(obs = false) ?(rule_checks = false)
-    ?(speedups = true) ?(stage_name = "stage") ?(prov = false) ?strata
+let create ?(workers = 1) ?fuzz_seed ?(obs = false) ?(speedups = true)
+    ?(stage_name = "stage") ?(prov = false) ?strata
     ~ruleset ~model ~factory ~base memo =
   let strata =
     Option.map
@@ -145,8 +137,6 @@ let create ?(workers = 1) ?fuzz_seed ?(obs = false) ?(rule_checks = false)
       {
         a_xform_applied = Atomic.make 0;
         a_xform_results = Atomic.make 0;
-        a_alternatives_costed = Atomic.make 0;
-        a_contexts_created = Atomic.make 0;
         a_op_costings = Atomic.make 0;
         a_enf_costings = Atomic.make 0;
         a_deadline_checks = Atomic.make 0;
@@ -157,7 +147,6 @@ let create ?(workers = 1) ?fuzz_seed ?(obs = false) ?(rule_checks = false)
       };
     obs;
     rule_stats = Hashtbl.create 64;
-    rule_checks;
     speedups;
     direct_costing = workers = 1 && speedups && Option.is_none fuzz_seed;
     opt_workers = workers;
@@ -211,32 +200,9 @@ let trace_access obj write =
 
 (* --- Xform(gexpr, rule) --- *)
 
-exception
-  Rule_contract_violation of { rule : string; rule_id : int; gexpr : int }
-
-let () =
-  Printexc.register_printer (function
-    | Rule_contract_violation { rule; rule_id; gexpr } ->
-        Some
-          (Printf.sprintf
-             "Rule_contract_violation: rule %s (id %d) mutated the Memo \
-              while applied to gexpr %d (apply must only return \
-              alternatives; see lib/xform/rule.mli)"
-             rule rule_id gexpr)
-    | _ -> None)
-
 let xform_job t (ge : Memo.gexpr) (rule : Xform.Rule.t) () =
   let t0 = if t.obs then Gpos.Clock.now () else 0.0 in
-  let before = if t.rule_checks then Memo.checksum t.memo else 0 in
   let results = rule.Xform.Rule.apply t.rctx t.memo ge in
-  if t.rule_checks && Memo.checksum t.memo <> before then
-    raise
-      (Rule_contract_violation
-         {
-           rule = rule.Xform.Rule.name;
-           rule_id = rule.Xform.Rule.id;
-           gexpr = ge.Memo.ge_id;
-         });
   bump_by t.counters.a_xform_applied 1;
   bump_by t.counters.a_xform_results (List.length results);
   if t.obs then begin
@@ -638,9 +604,8 @@ let cost_alternative t (ctx : Memo.context) (gid : int) (ge : Memo.gexpr)
   match base_cost t gid ge op child_reqs with
   | None -> ()
   | Some base ->
-      iter_chain_alternatives t ctx gid ge child_reqs base (fun alt ->
-          bump_by t.counters.a_alternatives_costed 1;
-          Memo.record_alternative t.memo gid ctx alt)
+      iter_chain_alternatives t ctx gid ge child_reqs base
+        (Memo.record_alternative t.memo gid ctx)
 
 let child_requests t (ge : Memo.gexpr) op req =
   Requests.alternatives op ~req
@@ -721,8 +686,7 @@ let children_already_costed t (ge : Memo.gexpr) child_reqs =
 
 let rec opt_group_job t gid req () =
   let gid = Memo.find t.memo gid in
-  let ctx, created = Memo.obtain_context t.memo gid req in
-  if created then bump_by t.counters.a_contexts_created 1;
+  let ctx, _ = Memo.obtain_context t.memo gid req in
   let state_obj () = Printf.sprintf "ctx:%d.state" ctx.Memo.cx_id in
   trace_access state_obj false;
   match ctx.Memo.cx_state with
@@ -832,8 +796,7 @@ and opt_gexpr_job t ctx gid ge op req =
    fuzzed and traced paths keep the scheduler. *)
 let rec opt_group_direct t gid req =
   let gid = Memo.find t.memo gid in
-  let ctx, created = Memo.obtain_context t.memo gid req in
-  if created then bump_by t.counters.a_contexts_created 1;
+  let ctx, _ = Memo.obtain_context t.memo gid req in
   match ctx.Memo.cx_state with
   | Memo.Ctx_complete | Memo.Ctx_in_progress ->
       (* in-progress = a cycle back into an ancestor's context: proceed
@@ -983,10 +946,8 @@ let search_profile t : Obs.Report.search_stat =
     c_xforms = Atomic.get c.a_xform_applied;
     c_xform_results = Atomic.get c.a_xform_results;
     c_prefilter_skips = Atomic.get c.a_prefilter_skips;
-    c_contexts = Atomic.get c.a_contexts_created;
     c_op_costings = Atomic.get c.a_op_costings;
     c_enforcer_costings = Atomic.get c.a_enf_costings;
-    c_alternatives = Atomic.get c.a_alternatives_costed;
     c_deadline_checks = Atomic.get c.a_deadline_checks;
     c_stats_hits = Atomic.get c.a_stats_hits;
     c_base_reuses = Atomic.get c.a_base_reuses;

@@ -11,16 +11,10 @@ open Ir
 
 type t
 
-exception
-  Rule_contract_violation of { rule : string; rule_id : int; gexpr : int }
-(** Raised (only with [rule_checks]) when a rule's [apply] mutated the Memo,
-    violating the contract documented in lib/xform/rule.mli. *)
-
 val create :
   ?workers:int ->
   ?fuzz_seed:int ->
   ?obs:bool ->
-  ?rule_checks:bool ->
   ?speedups:bool ->
   ?stage_name:string ->
   ?prov:bool ->
@@ -40,16 +34,12 @@ val create :
     additionally collects per-rule firing counts and timings for the
     observability report. [prov] (default false) stamps every rule result
     with its origin — rule, source expression, [stage_name], promise — for
-    the provenance layer (lib/prov). [rule_checks] (default false) is a
-    debug mode that checksums the Memo around every rule application and
-    raises {!Rule_contract_violation} if [apply] mutated it — the central
-    enforcement of the rule.mli contract (lib/rulecheck audits the same
-    contract statically). [strata] (default none) is a rule-name -> stratum
-    map (lib/interact's stratification of the rule-interaction graph): when
-    set, pending rules on a group expression sort by stratum ascending,
-    promise descending within a stratum. Plan-identical to the default
-    promise order — exploration is a fixpoint with order-independent
-    duplicate detection.
+    the provenance layer (lib/prov). [strata] (default none) is a
+    rule-name -> stratum map (lib/interact's stratification of the
+    rule-interaction graph): when set, pending rules on a group expression
+    sort by stratum ascending, promise descending within a stratum.
+    Plan-identical to the default promise order — exploration is a
+    fixpoint with order-independent duplicate detection.
 
     [speedups] (default true) switches the hot-path caches, none of which
     changes the chosen plan or its cost: the shape prefilter skips rule
@@ -94,4 +84,6 @@ val sched_profiles : t -> (string * Gpos.Scheduler.profile) list
 
 val search_profile : t -> Obs.Report.search_stat
 (** A consistent-enough snapshot of the atomic search counters: rule
-    applications, contexts, cost-model invocations and cache skips. *)
+    applications, cost-model invocations and cache skips. Contexts and
+    the alternatives offered to them are counted once, by the Memo
+    ({!Memolib.Memo.profile}). *)

@@ -54,7 +54,8 @@ let next (t : t) : Token.t =
   | None -> Token.EOF
   | Some c when is_ident_start c ->
       let word = read_while t is_ident_char in
-      if Token.is_keyword word then Token.KEYWORD (String.uppercase_ascii word)
+      let upper = String.uppercase_ascii word in
+      if Token.is_upper_keyword upper then Token.KEYWORD upper
       else Token.IDENT (String.lowercase_ascii word)
   | Some c when is_digit c ->
       let digits = read_while t (fun c -> is_digit c) in

@@ -9,18 +9,24 @@ type t =
   | SYMBOL of string  (* punctuation and operators *)
   | EOF
 
-let keywords =
-  [
-    "SELECT"; "FROM"; "WHERE"; "GROUP"; "BY"; "HAVING"; "ORDER"; "LIMIT";
-    "OFFSET"; "AS"; "AND"; "OR"; "NOT"; "IN"; "EXISTS"; "BETWEEN"; "LIKE";
-    "IS"; "NULL"; "TRUE"; "FALSE"; "CASE"; "WHEN"; "THEN"; "ELSE"; "END";
-    "JOIN"; "INNER"; "LEFT"; "RIGHT"; "FULL"; "OUTER"; "CROSS"; "ON";
-    "UNION"; "ALL"; "INTERSECT"; "EXCEPT"; "DISTINCT"; "WITH"; "ASC"; "DESC";
-    "COUNT"; "SUM"; "AVG"; "MIN"; "MAX"; "COALESCE"; "CAST"; "DATE"; "VALUES";
-    "OVER"; "PARTITION";
-  ]
+let keyword_set : (string, unit) Hashtbl.t = Hashtbl.create 64
 
-let is_keyword s = List.mem (String.uppercase_ascii s) keywords
+let () =
+  List.iter
+    (fun k -> Hashtbl.replace keyword_set k ())
+    [
+      "SELECT"; "FROM"; "WHERE"; "GROUP"; "BY"; "HAVING"; "ORDER"; "LIMIT";
+      "OFFSET"; "AS"; "AND"; "OR"; "NOT"; "IN"; "EXISTS"; "BETWEEN"; "LIKE";
+      "IS"; "NULL"; "TRUE"; "FALSE"; "CASE"; "WHEN"; "THEN"; "ELSE"; "END";
+      "JOIN"; "INNER"; "LEFT"; "RIGHT"; "FULL"; "OUTER"; "CROSS"; "ON";
+      "UNION"; "ALL"; "INTERSECT"; "EXCEPT"; "DISTINCT"; "WITH"; "ASC"; "DESC";
+      "COUNT"; "SUM"; "AVG"; "MIN"; "MAX"; "COALESCE"; "CAST"; "DATE"; "VALUES";
+      "OVER"; "PARTITION";
+    ]
+
+(* [u] must already be upper-cased: the lexer folds each word once. *)
+let is_upper_keyword u = Hashtbl.mem keyword_set u
+let is_keyword s = is_upper_keyword (String.uppercase_ascii s)
 
 (* The tokens that are query parameters, as the datum each one carries: the
    one choice behind both the parser's slot numbers and the parameter

@@ -53,12 +53,6 @@ let phase name =
 
 let observe_phase name ms = Metrics.observe (phase name) ms
 
-let time_phase name f =
-  let t0 = Gpos.Clock.now () in
-  Fun.protect
-    ~finally:(fun () -> observe_phase name (Gpos.Clock.ms_since t0))
-    f
-
 (* -- Memo growth (winning stage, per query) ------------------------ *)
 
 let memo_groups = c "orca_memo_groups_total" "Memo groups created (winning stage)."
@@ -158,10 +152,10 @@ let record_query ~opt_time_ms ~(memo : Obs.Report.memo_stat)
   Metrics.add rule_fired search.c_xforms;
   Metrics.add rule_results search.c_xform_results;
   Metrics.add rule_prefiltered search.c_prefilter_skips;
-  Metrics.add contexts search.c_contexts;
+  Metrics.add contexts memo.m_ctx_created;
   Metrics.add op_costings search.c_op_costings;
   Metrics.add enforcer_costings search.c_enforcer_costings;
-  Metrics.add alternatives search.c_alternatives;
+  Metrics.add alternatives (Obs.Report.alternatives_offered memo);
   Metrics.add deadline_checks search.c_deadline_checks;
   Metrics.add stats_memo_hits search.c_stats_hits;
   Metrics.add base_reuses search.c_base_reuses;

@@ -12,10 +12,6 @@ val phase : string -> Metrics.histogram
 
 val observe_phase : string -> float -> unit
 
-val time_phase : string -> (unit -> 'a) -> 'a
-(** Run [f], observing its wall time into the phase histogram (also on
-    exceptions). Deterministic under [Gpos.Clock.with_fake]. *)
-
 val memo_groups : Metrics.counter
 val memo_gexprs : Metrics.counter
 val memo_inserts : Metrics.counter

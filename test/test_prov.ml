@@ -112,6 +112,52 @@ let test_why_golden () =
     "golden --why rendering" golden_why
     (Prov.Provenance.why_to_string (prov_of report))
 
+(* --- the AMPERe dump's provenance section --- *)
+
+let golden_dump_prov = {golden|<?xml version="1.0" encoding="UTF-8"?>
+<dxl:Provenance Stage="full">
+  <dxl:NodeProv Id="0" Path="root" Op="Limit(&lt;revenue#26 desc, i_brand#21 asc&gt;, offset=0, count=10)" Kind="operator" Lineage="Limit2Limit(stage full, promise 0) &lt;- copy-in" Cost="5575.787687" EstRows="10.000000" Losers="0" BestDelta="0.000000"/>
+  <dxl:NodeProv Id="1" Path="root.0" Op="GatherMerge&lt;revenue#26 desc, i_brand#21 asc&gt;" Kind="enforcer" Lineage="enforces required distribution Singleton via GatherMerge&lt;revenue#26 desc, i_brand#21 asc&gt; (child delivers elsewhere)" Cost="5574.787687" EstRows="22.000000" Losers="0" BestDelta="0.000000"/>
+  <dxl:NodeProv Id="2" Path="root.0.0" Op="Sort&lt;revenue#26 desc, i_brand#21 asc&gt;" Kind="enforcer" Lineage="enforces required order [&lt;revenue#26 desc, i_brand#21 asc&gt;] the child does not deliver" Cost="5496.027687" EstRows="22.000000" Losers="0" BestDelta="0.000000"/>
+  <dxl:NodeProv Id="3" Path="root.0.0.0" Op="Project(i_brand#21 AS i_brand#21, sum#25 AS revenue#26)" Kind="operator" Lineage="Project2ComputeScalar(stage full, promise 0) &lt;- copy-in" Cost="5491.293281" EstRows="22.000000" Losers="2" BestDelta="23.003218"/>
+  <dxl:NodeProv Id="4" Path="root.0.0.0.0" Op="FinalHashAgg([i_brand#21], [sum(sum_partial#27) AS sum#25])" Kind="operator" Lineage="GbAgg2HashAgg(stage full, promise 5) &lt;- SplitGbAgg(stage full, promise 6) &lt;- copy-in" Cost="5491.018281" EstRows="22.000000" Losers="7" BestDelta="88.004726"/>
+  <dxl:NodeProv Id="5" Path="root.0.0.0.0.0" Op="Redistribute(i_brand#21)" Kind="enforcer" Lineage="enforces required distribution Hashed(i_brand#21) via Redistribute(i_brand#21) (child delivers elsewhere)" Cost="5340.205175" EstRows="317.501277" Losers="0" BestDelta="0.000000"/>
+  <dxl:NodeProv Id="6" Path="root.0.0.0.0.0.0" Op="PartialHashAgg([i_brand#21], [sum(ss_ext_sales_price#8) AS sum_partial#27])" Kind="operator" Lineage="GbAgg2HashAgg(stage full, promise 5) &lt;- SplitGbAgg(stage full, promise 6) &lt;- copy-in" Cost="5079.854128" EstRows="317.501277" Losers="1" BestDelta="88.004726"/>
+  <dxl:NodeProv Id="7" Path="root.0.0.0.0.0.0.0" Op="InnerHashJoin(ss_item_sk#1=i_item_sk#18)" Kind="operator" Lineage="Join2HashJoin(stage full, promise 8) &lt;- copy-in" Cost="4929.041021" EstRows="317.501277" Losers="43" BestDelta="52.851953"/>
+  <dxl:NodeProv Id="8" Path="root.0.0.0.0.0.0.0.0" Op="InnerHashJoin(d_date_sk#11=ss_sold_date_sk#0)" Kind="operator" Lineage="Join2HashJoin(stage full, promise 8) &lt;- JoinCommutativity(stage full, promise 10) &lt;- copy-in" Cost="4702.453906" EstRows="447.815623" Losers="21" BestDelta="55.000000"/>
+  <dxl:NodeProv Id="9" Path="root.0.0.0.0.0.0.0.0.0" Op="Project(d_date_sk#11 AS d_date_sk#11)" Kind="operator" Lineage="Project2ComputeScalar(stage full, promise 0) &lt;- copy-in" Cost="3312.000000" EstRows="360.000000" Losers="1" BestDelta="0.000000"/>
+  <dxl:NodeProv Id="10" Path="root.0.0.0.0.0.0.0.0.0.0" Op="TableScan(date_dim) filter=(d_year#13 = 1998)" Kind="operator" Lineage="Select2Scan(stage full, promise 5) &lt;- copy-in" Cost="3294.000000" EstRows="360.000000" Losers="1" BestDelta="0.000000"/>
+  <dxl:NodeProv Id="11" Path="root.0.0.0.0.0.0.0.0.1" Op="Project(ss_sold_date_sk#0 AS ss_sold_date_sk#0, ss_item_sk#1 AS ss_item_sk#1, ss_ext_sales_price#8 AS ss_ext_sales_price#8)" Kind="operator" Lineage="Project2ComputeScalar(stage full, promise 0) &lt;- copy-in" Cost="482.500000" EstRows="1000.000000" Losers="1" BestDelta="0.000000"/>
+  <dxl:NodeProv Id="12" Path="root.0.0.0.0.0.0.0.0.1.0" Op="TableScan(store_sales)" Kind="operator" Lineage="Get2Scan(stage full, promise 0) &lt;- copy-in" Cost="470.000000" EstRows="1000.000000" Losers="0" BestDelta="0.000000"/>
+  <dxl:NodeProv Id="13" Path="root.0.0.0.0.0.0.0.1" Op="Project(i_item_sk#18 AS i_item_sk#18, i_brand#21 AS i_brand#21)" Kind="operator" Lineage="Project2ComputeScalar(stage full, promise 0) &lt;- copy-in" Cost="14.062500" EstRows="25.000000" Losers="1" BestDelta="0.000000"/>
+  <dxl:NodeProv Id="14" Path="root.0.0.0.0.0.0.0.1.0" Op="TableScan(item)" Kind="operator" Lineage="Get2Scan(stage full, promise 0) &lt;- copy-in" Cost="13.750000" EstRows="25.000000" Losers="0" BestDelta="0.000000"/>
+</dxl:Provenance>
+|golden}
+
+(* The dxl:Provenance element of a provenance-on dump of the 3-join, read
+   back from the serialized dump: element, attributes and %.6f floats are
+   pinned, and a DXL round trip keeps the section byte for byte. *)
+let test_dump_prov_golden () =
+  let report = Lazy.force three_join_report in
+  let accessor = Fixtures.tpcds_accessor () in
+  let query = Sqlfront.Binder.bind_sql accessor three_join_sql in
+  let dump =
+    Orca.Ampere.embed_report (Orca.Ampere.capture accessor query) report
+  in
+  Catalog.Accessor.release accessor;
+  let prov_section text =
+    let thread =
+      Dxl.Xml.find_child_exn (Dxl.Xml.of_string text) "dxl:Thread"
+    in
+    Dxl.Xml.to_string (Dxl.Xml.find_child_exn thread "dxl:Provenance")
+  in
+  let text = Orca.Ampere.to_string dump in
+  Alcotest.(check string)
+    "golden dxl:Provenance" golden_dump_prov (prov_section text);
+  Alcotest.(check string)
+    "round trip keeps the section" (prov_section text)
+    (prov_section (Orca.Ampere.to_string (Orca.Ampere.of_string text)))
+
 (* Every plan node carries an annotation aligned with the stable preorder
    numbering; the lineage of every operator terminates at a copy-in. *)
 let test_annotation_coverage () =
@@ -499,4 +545,6 @@ let suite =
       test_prov_lint_wired_and_clean;
     Alcotest.test_case "prov lint catches corruptions" `Quick
       test_prov_lint_corruptions;
+    Alcotest.test_case "dump provenance golden (3-join)" `Quick
+      test_dump_prov_golden;
   ]

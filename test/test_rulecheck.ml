@@ -1,6 +1,3 @@
-open Ir
-module Memo = Memolib.Memo
-module Mexpr = Memolib.Mexpr
 module Diagnostic = Verify.Diagnostic
 
 (* Tests for lib/rulecheck: the suite must be clean on the shipped rules and
@@ -65,27 +62,6 @@ let test_bad_cost_model () =
   Alcotest.(check bool) "non-monotone caught" true
     (has_diag "cost/non-monotone" diags)
 
-let test_engine_enforcement () =
-  (* the engine's own debug checksum (rule_checks) rejects a mutating rule *)
-  let memo = Memo.create () in
-  let root =
-    Memo.insert memo (Mexpr.logical (Expr.L_get Rulecheck.Model.t1) [])
-  in
-  Memo.set_root memo (Memo.find memo root.Memo.ge_group);
-  let engine =
-    Search.Engine.create ~rule_checks:true
-      ~ruleset:(Xform.Ruleset.of_rules [ Rulecheck.Broken.memo_mutator ])
-      ~model:Cost.Cost_model.default
-      ~factory:(Colref.Factory.create ~start:1000 ())
-      ~base:(fun _ -> Stats.Relstats.set_rows Stats.Relstats.empty 100.0)
-      memo
-  in
-  Alcotest.(check bool) "contract violation raised" true
-    (try
-       Search.Engine.explore engine;
-       false
-     with Search.Engine.Rule_contract_violation _ -> true)
-
 let test_json () =
   let report = Rulecheck.check_rules ~seeds:1 [ Rulecheck.Broken.memo_mutator ] in
   let json = Rulecheck.to_json report in
@@ -102,7 +78,5 @@ let suite =
     Alcotest.test_case "lying shape mask caught" `Quick test_lying_shape_mask;
     Alcotest.test_case "memo mutator caught" `Quick test_memo_mutator;
     Alcotest.test_case "bad cost model caught" `Quick test_bad_cost_model;
-    Alcotest.test_case "engine rule_checks enforcement" `Quick
-      test_engine_enforcement;
     Alcotest.test_case "json report shape" `Quick test_json;
   ]

@@ -403,6 +403,35 @@ let test_std_instrumentation () =
   Alcotest.(check bool) "memo metrics populated" true
     (contains ~affix:"orca_memo_groups_total" prom)
 
+(* Contexts and the alternatives offered to them are counted once, by the
+   Memo: one optimization moves orca_contexts_total by the winning Memo's
+   created contexts and orca_alternatives_total by its winner updates plus
+   kept incumbents (every offer does exactly one of the two). *)
+let test_search_counts_from_memo () =
+  let ctx0 = M.counter_value Telemetry.Std.contexts in
+  let alt0 = M.counter_value Telemetry.Std.alternatives in
+  let accessor = small_accessor () in
+  let query =
+    Sqlfront.Binder.bind_sql accessor
+      "SELECT t1.a FROM t1, t2 WHERE t1.b = t2.a ORDER BY t1.a"
+  in
+  let report =
+    Orca.Optimizer.optimize ~config:(Lazy.force orca_config) accessor query
+  in
+  let m = Memolib.Memo.profile report.Orca.Optimizer.memo in
+  Alcotest.(check bool) "search costed something" true
+    (m.Obs.Report.m_ctx_created > 0 && m.Obs.Report.m_winner_kept > 0);
+  Alcotest.(check int)
+    "orca_contexts_total moved by m_ctx_created" m.Obs.Report.m_ctx_created
+    (M.counter_value Telemetry.Std.contexts - ctx0);
+  Alcotest.(check int)
+    "orca_alternatives_total moved by winner updates + kept"
+    (m.Obs.Report.m_winner_updates + m.Obs.Report.m_winner_kept)
+    (M.counter_value Telemetry.Std.alternatives - alt0);
+  Alcotest.(check int)
+    "report.contexts is the Memo's count" m.Obs.Report.m_ctx_created
+    report.Orca.Optimizer.contexts
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_merge_commutative;
@@ -427,4 +456,6 @@ let suite =
     Alcotest.test_case "flight dumps of concurrent misses" `Quick
       test_flight_concurrent_dumps;
     Alcotest.test_case "std instrumentation" `Quick test_std_instrumentation;
+    Alcotest.test_case "contexts and alternatives counted by the Memo" `Quick
+      test_search_counts_from_memo;
   ]

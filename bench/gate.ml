@@ -119,6 +119,9 @@ let shape_metrics =
     "winner_skips";
     "ops_interned";
     "intern_hits";
+    "enforcer_costings";
+    "alternatives_offered";
+    "alternatives_pruned";
   ]
 
 (* --- the serve gate (--serve) ---

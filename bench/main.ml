@@ -769,6 +769,18 @@ let opt_speed () =
   let intern_hits =
     sum (fun (_, _, _, o, _, _) -> o.Obs.Report.memo.Obs.Report.m_intern_hits)
   in
+  let enforcer_costings =
+    sum (fun (_, _, _, o, _, _) ->
+        o.Obs.Report.search.Obs.Report.c_enforcer_costings)
+  in
+  let alternatives_offered =
+    sum (fun (_, _, _, o, _, _) ->
+        Obs.Report.alternatives_offered o.Obs.Report.memo)
+  in
+  let alternatives_pruned =
+    sum (fun (_, _, _, o, _, _) ->
+        o.Obs.Report.search.Obs.Report.c_alternatives_pruned)
+  in
   (* nearest-rank quantiles of the per-query on-config times *)
   let on_sorted =
     Array.of_list
@@ -798,6 +810,10 @@ let opt_speed () =
     "base-cost reuses: %d  winner-spawn skips: %d  interning: %d ops, %d \
      hits\n"
     base_reuses winner_skips interned intern_hits;
+  Printf.printf
+    "enforcer costings: %d  alternatives: %d offered, %d pruned by the \
+     incumbent bound\n"
+    enforcer_costings alternatives_offered alternatives_pruned;
   (match !mismatches with
   | [] -> Printf.printf "identity: all %d plans and costs byte-identical\n" n
   | ms ->
@@ -845,6 +861,9 @@ let opt_speed () =
                   ("winner_skips", int winner_skips);
                   ("ops_interned", int interned);
                   ("intern_hits", int intern_hits);
+                  ("enforcer_costings", int enforcer_costings);
+                  ("alternatives_offered", int alternatives_offered);
+                  ("alternatives_pruned", int alternatives_pruned);
                 ] );
           ]);
   if !mismatches <> [] then exit 1

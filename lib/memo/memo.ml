@@ -467,6 +467,15 @@ let record_alternative t gid (ctx : context) (alt : alternative) =
           Atomic.incr t.obs.oc_winner_updates;
           ctx.cx_best <- Some alt)
 
+(* The incumbent's cost, read under the group lock [record_alternative]
+   writes it under, so the sanitizer orders the read on scheduled costing
+   paths; [infinity] while the context has no winner. *)
+let incumbent_cost t gid (ctx : context) =
+  let g = group t gid in
+  with_group_lock g (fun () ->
+      trace_access (fun () -> Printf.sprintf "ctx:%d.best" ctx.cx_id) false;
+      match ctx.cx_best with Some best -> best.a_cost | None -> infinity)
+
 let set_alternatives t f = t.derive_alts <- f
 let alternatives t gid ctx = t.derive_alts (find t gid) ctx
 

@@ -145,14 +145,19 @@ val record_alternative : t -> int -> context -> alternative -> unit
     structural key rather than arrival order, so the chosen plan is
     independent of the costing schedule. Losing alternatives are not kept. *)
 
+val incumbent_cost : t -> int -> context -> float
+(** The cost of the context's current winner, [infinity] while it has
+    none. Winners only get cheaper, so a stale read is a looser bound. *)
+
 val set_alternatives : t -> (int -> context -> alternative list) -> unit
 (** Install the function behind {!alternatives}: the search engine installs
     one on the Memo it costs. *)
 
 val alternatives : t -> int -> context -> alternative list
-(** Every alternative costed in a context of the given group, newest first
-    (the order costing offered them, reversed), rebuilt by the installed
-    function; [[]] on a Memo no engine has costed. *)
+(** Every alternative of a context of the given group, offered or pruned
+    by the incumbent bound, newest first (the order costing reached them,
+    reversed), rebuilt by the installed function; [[]] on a Memo no engine
+    has costed. *)
 
 val contexts_of_group : t -> int -> context list
 

@@ -46,6 +46,7 @@ type search_stat = {
   c_prefilter_skips : int;   (* rule applications pruned by the shape bitmap *)
   c_op_costings : int;       (* Cost_model.op_cost invocations *)
   c_enforcer_costings : int; (* Cost_model.enforcer_cost invocations *)
+  c_alternatives_pruned : int; (* enforcer chains the incumbent bound skipped *)
   c_deadline_checks : int;
   c_stats_hits : int;        (* rows/width/skew served from the stats memo *)
   c_base_reuses : int;       (* op+children base costs served from cache *)
@@ -101,6 +102,7 @@ let empty_search =
     c_prefilter_skips = 0;
     c_op_costings = 0;
     c_enforcer_costings = 0;
+    c_alternatives_pruned = 0;
     c_deadline_checks = 0;
     c_stats_hits = 0;
     c_base_reuses = 0;
@@ -156,6 +158,7 @@ let merge_search a b =
     c_prefilter_skips = a.c_prefilter_skips + b.c_prefilter_skips;
     c_op_costings = a.c_op_costings + b.c_op_costings;
     c_enforcer_costings = a.c_enforcer_costings + b.c_enforcer_costings;
+    c_alternatives_pruned = a.c_alternatives_pruned + b.c_alternatives_pruned;
     c_deadline_checks = a.c_deadline_checks + b.c_deadline_checks;
     c_stats_hits = a.c_stats_hits + b.c_stats_hits;
     c_base_reuses = a.c_base_reuses + b.c_base_reuses;
@@ -314,9 +317,9 @@ let to_string ?(top = 10) t =
     t.scheds;
   (* cost model *)
   let c = t.search in
-  pf "cost model: op-costings=%d enforcer-costings=%d alternatives=%d deadline-checks=%d\n"
+  pf "cost model: op-costings=%d enforcer-costings=%d alternatives=%d pruned=%d deadline-checks=%d\n"
     c.c_op_costings c.c_enforcer_costings (alternatives_offered m)
-    c.c_deadline_checks;
+    c.c_alternatives_pruned c.c_deadline_checks;
   if c.c_base_reuses > 0 || c.c_winner_skips > 0 then
     pf "cost reuse: base-costs=%d winner-skips=%d\n" c.c_base_reuses
       c.c_winner_skips;

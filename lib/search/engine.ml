@@ -17,6 +17,7 @@ type acounters = {
   a_xform_results : int Atomic.t;
   a_op_costings : int Atomic.t;       (* Cost_model.op_cost invocations *)
   a_enf_costings : int Atomic.t;      (* Cost_model.enforcer_cost invocations *)
+  a_alts_pruned : int Atomic.t;       (* enforcer chains the incumbent bound skipped *)
   a_deadline_checks : int Atomic.t;
   a_prefilter_skips : int Atomic.t;   (* rule applications pruned by shape *)
   a_winner_skips : int Atomic.t;      (* child Opt spawns pruned: ctx complete *)
@@ -139,6 +140,7 @@ let create ?(workers = 1) ?fuzz_seed ?(obs = false) ?(speedups = true)
         a_xform_results = Atomic.make 0;
         a_op_costings = Atomic.make 0;
         a_enf_costings = Atomic.make 0;
+        a_alts_pruned = Atomic.make 0;
         a_deadline_checks = Atomic.make 0;
         a_prefilter_skips = Atomic.make 0;
         a_winner_skips = Atomic.make 0;
@@ -487,20 +489,21 @@ let redistribute_skew ?(count = true) t gid (enf : Props.enforcer) =
       end
   | _ -> 1.0
 
+(* The [cost_cache] entry of one (gexpr, child-request vector) when costing
+   may reuse it (under [speedups]). *)
+let cached_base t (ge : Memo.gexpr) child_reqs =
+  if not t.speedups then None
+  else begin
+    Mutex.lock t.cost_lock;
+    let hit = Hashtbl.find_opt t.cost_cache (ge.Memo.ge_id, child_reqs) in
+    Mutex.unlock t.cost_lock;
+    hit
+  end
+
 (* The [cost_cache] entry of one (gexpr, child-request vector), computed
    and stored on a miss; [None] while a child has no winner. *)
 let base_cost t gid (ge : Memo.gexpr) (op : Expr.physical) child_reqs =
-  let cache_key = (ge.Memo.ge_id, child_reqs) in
-  let cached =
-    if not t.speedups then None
-    else begin
-      Mutex.lock t.cost_lock;
-      let hit = Hashtbl.find_opt t.cost_cache cache_key in
-      Mutex.unlock t.cost_lock;
-      hit
-    end
-  in
-  match cached with
+  match cached_base t ge child_reqs with
   | Some hit ->
       bump_by t.counters.a_base_reuses 1;
       Some hit
@@ -551,7 +554,7 @@ let base_cost t gid (ge : Memo.gexpr) (op : Expr.physical) child_reqs =
         in
         let entry = (local, children_cost, delivered, child_derived) in
         Mutex.lock t.cost_lock;
-        Hashtbl.replace t.cost_cache cache_key entry;
+        Hashtbl.replace t.cost_cache (ge.Memo.ge_id, child_reqs) entry;
         Mutex.unlock t.cost_lock;
         Some entry
       end
@@ -597,30 +600,49 @@ let iter_chain_alternatives ?(count = true) t (ctx : Memo.context) gid
         })
     (Props.enforcement_alternatives ~delivered ~required:ctx.Memo.cx_req)
 
-(* Cost one (gexpr, child-request vector) and offer every enforcement
-   alternative to the context. *)
+(* Offer every enforcement alternative of one costed (gexpr, child-request
+   vector) to the context, unless the incumbent already beats its base cost
+   (the incumbent bound, DESIGN.md). Each alternative costs the base plus
+   its chain's enforcer costs, which are never negative (test_cost's
+   "enforcer and operator costs are non-negative" property), and IEEE
+   addition of a non-negative term never lowers the base: so when the base
+   alone exceeds the incumbent, no chain can win. The test is strict, so a
+   tie still reaches [Memo.record_alternative]'s structural tie-break; and
+   winners only get cheaper, so a stale read of the incumbent on a
+   scheduled path only prunes less. The skipped chains are counted, so
+   offered plus pruned is every alternative the derivation rebuilds. *)
+let offer_alternatives t (ctx : Memo.context) gid ge child_reqs
+    ((local, children_cost, delivered, _) as base) =
+  if local +. children_cost > Memo.incumbent_cost t.memo gid ctx then
+    bump_by t.counters.a_alts_pruned
+      (List.length
+         (Props.enforcement_alternatives ~delivered ~required:ctx.Memo.cx_req))
+  else
+    iter_chain_alternatives t ctx gid ge child_reqs base
+      (Memo.record_alternative t.memo gid ctx)
+
+(* Cost one (gexpr, child-request vector) and offer its alternatives. *)
 let cost_alternative t (ctx : Memo.context) (gid : int) (ge : Memo.gexpr)
     (op : Expr.physical) (child_reqs : Props.req list) : unit =
   match base_cost t gid ge op child_reqs with
   | None -> ()
-  | Some base ->
-      iter_chain_alternatives t ctx gid ge child_reqs base
-        (Memo.record_alternative t.memo gid ctx)
+  | Some base -> offer_alternatives t ctx gid ge child_reqs base
 
 let child_requests t (ge : Memo.gexpr) op req =
   Requests.alternatives op ~req
     ~child_out_cols:(List.map (Memo.output_cols t.memo) ge.Memo.ge_children)
 
-(* The alternatives costed in a context, rebuilt after costing (installed
-   as [Memo.alternatives]; DESIGN.md says why the rebuild is exact). The
+(* The alternatives of a context, rebuilt after costing (installed as
+   [Memo.alternatives]; DESIGN.md says why the rebuild is exact). The
    direct driver costs the group's physical expressions, each one's
    child-request vectors and each vector's enforcer chains in exactly this
    order, from inputs that are fixed once costing is done: the Memo, the
    base costs in [cost_cache] (a vector whose children had no winner was
-   never offered and has no entry) and the frozen row, width and skew
-   figures. So the list matches what costing offered, newest first, with
-   bit-identical costs; scheduled costing (workers > 1, speedups off)
-   offered the same alternatives in job order. *)
+   never offered and has no entry; one the incumbent bound pruned has
+   one) and the frozen row, width and skew figures. So the list holds what
+   costing offered or pruned, newest first, with bit-identical costs;
+   scheduled costing (workers > 1, speedups off) reached the same
+   alternatives in job order. *)
 let alternatives t gid (ctx : Memo.context) =
   let gid = Memo.find t.memo gid in
   let alts = ref [] in
@@ -677,12 +699,7 @@ let children_already_costed t (ge : Memo.gexpr) child_reqs =
      keep the full spawn set whenever a trace is being collected *)
   && (not (Gpos.Trace.enabled ()))
   && (ge.Memo.ge_children = []
-     ||
-     let key = (ge.Memo.ge_id, child_reqs) in
-     Mutex.lock t.cost_lock;
-     let hit = Hashtbl.mem t.cost_cache key in
-     Mutex.unlock t.cost_lock;
-     hit)
+     || Option.is_some (cached_base t ge child_reqs))
 
 let rec opt_group_job t gid req () =
   let gid = Memo.find t.memo gid in
@@ -816,13 +833,20 @@ and opt_gexpr_direct t ctx gid ge op req =
   let children = List.map (Memo.find t.memo) ge.Memo.ge_children in
   List.iter
     (fun child_reqs ->
-      if children_already_costed t ge child_reqs then
-        bump_by t.counters.a_winner_skips (List.length child_reqs)
-      else
-        List.iter2
-          (fun cg cr -> opt_group_direct t cg cr)
-          children child_reqs;
-      cost_alternative t ctx gid ge op child_reqs)
+      (* one [cost_cache] probe per vector: a hit means every child winner
+         is final, so it both elides the child recursion and supplies the
+         base cost; a miss recurses, then [base_cost] looks again, since a
+         cycle through an ancestor's context may have filled the entry *)
+      match cached_base t ge child_reqs with
+      | Some base ->
+          bump_by t.counters.a_winner_skips (List.length child_reqs);
+          bump_by t.counters.a_base_reuses 1;
+          offer_alternatives t ctx gid ge child_reqs base
+      | None ->
+          List.iter2
+            (fun cg cr -> opt_group_direct t cg cr)
+            children child_reqs;
+          cost_alternative t ctx gid ge op child_reqs)
     (child_requests t ge op req)
 
 (* --- wait for a context to be complete, then finalize --- *)
@@ -948,6 +972,7 @@ let search_profile t : Obs.Report.search_stat =
     c_prefilter_skips = Atomic.get c.a_prefilter_skips;
     c_op_costings = Atomic.get c.a_op_costings;
     c_enforcer_costings = Atomic.get c.a_enf_costings;
+    c_alternatives_pruned = Atomic.get c.a_alts_pruned;
     c_deadline_checks = Atomic.get c.a_deadline_checks;
     c_stats_hits = Atomic.get c.a_stats_hits;
     c_base_reuses = Atomic.get c.a_base_reuses;

@@ -84,6 +84,7 @@ val sched_profiles : t -> (string * Gpos.Scheduler.profile) list
 
 val search_profile : t -> Obs.Report.search_stat
 (** A consistent-enough snapshot of the atomic search counters: rule
-    applications, cost-model invocations and cache skips. Contexts and
+    applications, cost-model invocations, cache skips and the enforcer
+    chains the incumbent bound pruned. Contexts and
     the alternatives offered to them are counted once, by the Memo
     ({!Memolib.Memo.profile}). *)

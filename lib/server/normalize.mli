@@ -16,5 +16,8 @@ type t = {
   fingerprint : string;  (** 64-bit FNV-1a digest of [text], 16 hex digits *)
 }
 
+val fnv1a : string -> string
+(** 64-bit FNV-1a of the bytes, as 16 lower-case hex digits. *)
+
 val normalize : string -> t
 (** Raises [Gpos.Gpos_error.Error (Parse_error, _)] on unlexable input. *)

@@ -575,8 +575,10 @@ let serve_unix ?(log = ignore) ?(include_plan = false) ?max_sessions t ~path
               let oc = Unix.out_channel_of_descr fd in
               let log msg = log (Printf.sprintf "[conn %d] %s" n msg) in
               serve_channels ~log ~include_plan t ic oc;
-              (try close_out oc with Sys_error _ -> ());
-              try Unix.close fd with Unix.Unix_error _ -> ())
+              (* closing the channel closes [fd]; closing [fd] again could
+                 close a descriptor [accept] has since handed to another
+                 session *)
+              close_out_noerr oc)
             fd
         in
         threads := th :: !threads

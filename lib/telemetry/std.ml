@@ -71,7 +71,10 @@ let rule_prefiltered = c "orca_rule_prefiltered_total" "Rule applications skippe
 let contexts = c "orca_contexts_total" "Optimization contexts created."
 let op_costings = c "orca_op_costings_total" "Operator cost computations."
 let enforcer_costings = c "orca_enforcer_costings_total" "Enforcer cost computations."
-let alternatives = c "orca_alternatives_total" "Plan alternatives costed."
+let alternatives = c "orca_alternatives_total" "Plan alternatives offered to optimization contexts."
+let alternatives_pruned =
+  c "orca_alternatives_pruned_total"
+    "Plan alternatives the incumbent bound skipped without costing."
 let deadline_checks = c "orca_deadline_checks_total" "Stage-deadline checks."
 
 (* -- caches (PR 4 speedups) ---------------------------------------- *)
@@ -156,6 +159,7 @@ let record_query ~opt_time_ms ~(memo : Obs.Report.memo_stat)
   Metrics.add op_costings search.c_op_costings;
   Metrics.add enforcer_costings search.c_enforcer_costings;
   Metrics.add alternatives (Obs.Report.alternatives_offered memo);
+  Metrics.add alternatives_pruned search.c_alternatives_pruned;
   Metrics.add deadline_checks search.c_deadline_checks;
   Metrics.add stats_memo_hits search.c_stats_hits;
   Metrics.add base_reuses search.c_base_reuses;

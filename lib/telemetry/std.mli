@@ -27,6 +27,7 @@ val contexts : Metrics.counter
 val op_costings : Metrics.counter
 val enforcer_costings : Metrics.counter
 val alternatives : Metrics.counter
+val alternatives_pruned : Metrics.counter
 val deadline_checks : Metrics.counter
 
 val stats_memo_hits : Metrics.counter

@@ -131,6 +131,83 @@ let test_skew_penalizes_redistribute () =
   Alcotest.(check bool) "skewed destination costs more" true
     (cost 3.0 > 2.0 *. cost 1.0)
 
+(* The incumbent bound (Search.Engine.offer_alternatives) skips a vector's
+   enforcer chains once its base cost alone exceeds the context's winner;
+   that is sound only because no enforcer, and no operator an enforcer
+   prices, ever costs less than nothing. Checked for every enforcer kind,
+   and the operators next to them, over non-negative rows, width and skew
+   on any cluster size. *)
+let prop_costs_non_negative =
+  let open QCheck.Gen in
+  let size =
+    oneof
+      [ return 0.0; float_bound_inclusive 10.0; float_bound_inclusive 1e12 ]
+  in
+  let skew = oneof [ return 0.0; return 1.0; float_bound_inclusive 64.0 ] in
+  let spec =
+    oneofl [ []; [ Sortspec.asc a ]; [ Sortspec.asc a; Sortspec.asc b ] ]
+  in
+  let dist =
+    oneofl
+      [ Props.D_singleton; Props.D_replicated; Props.D_hashed [ a ]; Props.D_random ]
+  in
+  let enforcer =
+    oneof
+      [
+        map (fun s -> Props.E_sort s) spec;
+        return (Props.E_motion Expr.Gather);
+        map (fun s -> Props.E_motion (Expr.Gather_merge s)) spec;
+        return (Props.E_motion (Expr.Redistribute [ Expr.Col a ]));
+        return (Props.E_motion (Expr.Redistribute []));
+        return (Props.E_motion Expr.Broadcast);
+      ]
+  in
+  let pred = Expr.Cmp (Expr.Lt, Expr.Col a, Expr.Col b) in
+  let op =
+    oneofl
+      [
+        Expr.P_filter pred;
+        Expr.P_hash_join (Expr.Inner, [ (Expr.Col a, Expr.Col b) ], None);
+        Expr.P_merge_join (Expr.Inner, [ (a, b) ], None);
+        Expr.P_nl_join (Expr.Inner, pred);
+        Expr.P_hash_agg (Expr.One_phase, [ a ], []);
+        Expr.P_stream_agg (Expr.One_phase, [ a ], []);
+        Expr.P_sort [ Sortspec.asc a ];
+        Expr.P_limit ([], 10, Some 5, Expr.no_limit_slots);
+        Expr.P_motion Expr.Gather;
+        Expr.P_motion (Expr.Gather_merge [ Sortspec.asc a ]);
+        Expr.P_motion (Expr.Redistribute [ Expr.Col a ]);
+        Expr.P_motion Expr.Broadcast;
+        Expr.P_cte_producer 0;
+        Expr.P_cte_consumer (0, [ a ]);
+        Expr.P_set (Expr.Union_all, [ a ]);
+        Expr.P_set (Expr.Except, [ a ]);
+      ]
+  in
+  let case =
+    let* segments = int_range 1 64 and* enf = enforcer and* op = op in
+    let* rows = size and* width = size and* skew = skew and* d = dist in
+    let* in_rows = size and* in_width = size and* out = dist in
+    return (segments, enf, op, rows, width, skew, d, in_rows, in_width, out)
+  in
+  QCheck.Test.make ~count:500
+    ~name:"enforcer and operator costs are non-negative"
+    (QCheck.make case)
+    (fun (segments, enf, op, rows, width, skew, d, in_rows, in_width, out) ->
+      let m = Cost.Cost_model.with_segments Cost.Cost_model.default segments in
+      let enf_cost =
+        Cost.Cost_model.enforcer_cost m enf ~rows ~width ~dist:d ~skew
+      in
+      let input () =
+        Cost.Cost_model.input ~skew ~rows:in_rows ~width:in_width ~dist:d ()
+      in
+      let op_cost =
+        Cost.Cost_model.op_cost m op ~rows_out:rows ~width_out:width
+          ~inputs:[ input (); input () ]
+          ~scan_rows:in_rows ~out_dist:out
+      in
+      enf_cost >= 0.0 && op_cost >= 0.0)
+
 let suite =
   [
     Alcotest.test_case "rows per segment" `Quick test_rows_per_segment;
@@ -143,4 +220,5 @@ let suite =
     Alcotest.test_case "pruned scan cheaper" `Quick test_partition_pruned_scan_cheaper;
     Alcotest.test_case "enforcer consistency" `Quick test_enforcer_cost_consistency;
     Alcotest.test_case "skew penalty" `Quick test_skew_penalizes_redistribute;
+    QCheck_alcotest.to_alcotest prop_costs_non_negative;
   ]

@@ -256,6 +256,39 @@ let test_derived_alternatives_exact () =
     (Tpcds.Queries.count ())
     (List.length Alt_digests_fixture.rows)
 
+(* The incumbent bound skips enforcer chains without offering them, but
+   [Memo.alternatives] still rebuilds them, since their vectors' base costs
+   are in the table: summed over every context, the derived lists hold
+   exactly the offered plus the pruned alternatives. *)
+let test_bound_accounts_for_every_alternative () =
+  List.iter
+    (fun qid ->
+      let config = Orca.Orca_config.with_obs Alt_digest.default_config in
+      let report =
+        Alt_digest.optimize ~accessor:Fixtures.tpcds_accessor ~config
+          (Tpcds.Queries.get qid)
+      in
+      let memo = report.Orca.Optimizer.memo in
+      let derived =
+        List.fold_left
+          (fun acc gid ->
+            List.fold_left
+              (fun acc ctx ->
+                acc + List.length (Memo.alternatives memo gid ctx))
+              acc
+              (Memo.contexts_of_group memo gid))
+          0 (Memo.group_ids memo)
+      in
+      let obs = Option.get report.Orca.Optimizer.obs in
+      let offered = Obs.Report.alternatives_offered obs.Obs.Report.memo in
+      let pruned = obs.Obs.Report.search.Obs.Report.c_alternatives_pruned in
+      Alcotest.(check int)
+        (Printf.sprintf "q%d: derived = offered + pruned" qid)
+        derived (offered + pruned);
+      Alcotest.(check bool) (Printf.sprintf "q%d: the bound pruned" qid) true
+        (pruned > 0))
+    [ 5; 75 ]
+
 let suite =
   [
     Alcotest.test_case "join request schedules" `Quick test_join_request_schedules;
@@ -268,4 +301,6 @@ let suite =
     Alcotest.test_case "goal queue effectiveness" `Quick test_goal_queue_effectiveness;
     Alcotest.test_case "timeout still plans" `Quick test_timeout_still_produces_plan;
     Alcotest.test_case "index scan end to end" `Quick test_index_scan_end_to_end;
+    Alcotest.test_case "bound: offered + pruned = derived (q5, q75)" `Quick
+      test_bound_accounts_for_every_alternative;
   ]

@@ -110,6 +110,29 @@ let test_normalize_fingerprint_classes () =
   Alcotest.(check int) "as many fingerprints as canonical texts"
     (Hashtbl.length by_text) (Hashtbl.length by_fp)
 
+(* FNV-1a on the reference vectors, and the fingerprints of the 111
+   TPC-DS texts pinned as one digest: the shape key must not move when the
+   hash loop is rewritten. *)
+let test_fnv1a_golden () =
+  List.iter
+    (fun (input, want) ->
+      Alcotest.(check string) (Printf.sprintf "fnv1a %S" input) want
+        (Nz.fnv1a input))
+    [
+      ("", "cbf29ce484222325");
+      ("a", "af63dc4c8601ec8c");
+      ("foobar", "85944171f73967e8");
+    ];
+  let fps =
+    List.map
+      (fun q -> (Nz.normalize q.Tpcds.Queries.sql).Nz.fingerprint)
+      (Lazy.force Tpcds.Queries.all)
+  in
+  Alcotest.(check int) "111 texts" 111 (List.length fps);
+  Alcotest.(check string) "the 111 fingerprints"
+    "e6bfd3237daa4109bee7187a17fc8efa"
+    (Digest.to_hex (Digest.string (String.concat "\n" fps)))
+
 (* --- the cache through the server API --- *)
 
 let test_hit_identical_plan () =
@@ -1440,4 +1463,6 @@ let suite =
       test_stored_reply_bytes;
     Alcotest.test_case "parallel first hits fill one variant's bytes" `Quick
       test_stored_bytes_parallel_fill;
+    Alcotest.test_case "fnv1a golden vectors and suite fingerprints" `Quick
+      test_fnv1a_golden;
   ]

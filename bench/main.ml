@@ -6,7 +6,7 @@
      dune exec bench/main.exe -- fig12 --sf 0.4 --segs 8 --workers 4
 
    Experiments: fig12 opt-stats fig13 fig14 fig15 taqo par-opt stages ablate
-   running-example profile opt-speed serve micro. Figures are printed as rows
+   opt-speed serve micro. Figures are printed as rows
    (query id, times, ratio); EXPERIMENTS.md records paper-vs-measured for
    each. An unknown experiment name or a non-positive --sf/--segs/--workers
    is a usage error (exit 2). *)
@@ -35,7 +35,7 @@ let header title =
 let json_fixed d v = Gpos.Json.Num (Gpos.Json.fixed d v)
 let json_general v = Gpos.Json.Num (Gpos.Json.general 6 v)
 
-(* A --json/--profile-json report: the experiment's name (when given) and
+(* A --json report: the experiment's name (when given) and
    the run's configuration, then [fields], printed in the layout of the
    committed baselines. *)
 let write_json ?experiment ~what path fields =
@@ -564,79 +564,6 @@ let ablate () =
          BY s DESC LIMIT 5" );
     ]
 
-(* ====================== observability profile ======================== *)
-
-let profile_json = ref None
-
-(* Per-query optimizer/executor profile over the whole workload, with a
-   machine-readable JSON dump (--profile-json PATH, conventionally
-   BENCH_profile.json) for tracking optimizer behaviour across commits. *)
-let profile () =
-  let e = get_env () in
-  header
-    "Observability profile (lib/obs) -- per-query optimizer/executor counters";
-  let rows = ref [] in
-  List.iter
-    (fun (q : Tpcds.Queries.def) ->
-      try
-        let accessor, query = bind_query e q.Tpcds.Queries.sql in
-        let config = Orca.Orca_config.with_obs (orca_config ()) in
-        let report = Orca.Optimizer.optimize ~config accessor query in
-        let _res, m = Exec.Executor.run e.cluster report.Orca.Optimizer.plan in
-        rows := (q, report, m) :: !rows
-      with ex ->
-        Printf.printf "q%-3d failed: %s\n" q.Tpcds.Queries.qid
-          (Gpos.Gpos_error.to_string ex))
-    (Lazy.force Tpcds.Queries.all);
-  let rows = List.rev !rows in
-  Printf.printf "%-5s %9s %7s %7s %7s %9s %10s %11s\n" "query" "opt(ms)"
-    "groups" "gexprs" "xforms" "jobs" "sim(s)" "scanned";
-  List.iter
-    (fun ((q : Tpcds.Queries.def), (r : Orca.Optimizer.report), m) ->
-      Printf.printf "%-5d %9.2f %7d %7d %7d %9d %10.5f %11.0f\n"
-        q.Tpcds.Queries.qid r.Orca.Optimizer.opt_time_ms r.Orca.Optimizer.groups
-        r.Orca.Optimizer.gexprs r.Orca.Optimizer.xforms
-        r.Orca.Optimizer.jobs_created m.Exec.Metrics.sim_seconds
-        m.Exec.Metrics.rows_scanned)
-    rows;
-  let sum f = List.fold_left (fun a x -> a +. f x) 0.0 rows in
-  let opt_ms = sum (fun (_, r, _) -> r.Orca.Optimizer.opt_time_ms) in
-  let sim_seconds = sum (fun (_, _, m) -> m.Exec.Metrics.sim_seconds) in
-  Printf.printf
-    "\ntotal: %d queries, %.1f ms optimization, %.4f s simulated execution\n"
-    (List.length rows) opt_ms sim_seconds;
-  match !profile_json with
-  | None -> ()
-  | Some path ->
-      let query ((q : Tpcds.Queries.def), (r : Orca.Optimizer.report), m) =
-        Gpos.Json.Obj
-          (Gpos.Json.
-             [
-               ("qid", int q.Tpcds.Queries.qid);
-               ("family", Str q.Tpcds.Queries.family);
-               ("opt_ms", json_fixed 3 r.Orca.Optimizer.opt_time_ms);
-               ("groups", int r.Orca.Optimizer.groups);
-               ("gexprs", int r.Orca.Optimizer.gexprs);
-               ("contexts", int r.Orca.Optimizer.contexts);
-               ("xforms", int r.Orca.Optimizer.xforms);
-               ("jobs_created", int r.Orca.Optimizer.jobs_created);
-               ("jobs_run", int r.Orca.Optimizer.jobs_run);
-             ]
-          @ List.map (fun (k, v) -> (k, json_general v)) (Exec.Metrics.to_kv m))
-      in
-      write_json ~what:"profile" path
-        Gpos.Json.
-          [
-            ("queries", Arr (List.map query rows));
-            ( "totals",
-              Obj
-                [
-                  ("queries", int (List.length rows));
-                  ("opt_ms", json_fixed 3 opt_ms);
-                  ("sim_seconds", json_general sim_seconds);
-                ] );
-          ]
-
 (* ==================== optimization speed (opt-speed) ================== *)
 
 let opt_json = ref None
@@ -1071,12 +998,6 @@ let serve_bench () =
           ]);
   if !violations <> [] then exit 1
 
-(* ======================== running example (§4.1) ====================== *)
-
-let running_example () =
-  header "Running example (paper §4.1, Figs. 4-7) -- see examples/running_example.ml";
-  Printf.printf "dune exec examples/running_example.exe\n"
-
 (* ========================= Bechamel micro-benches ====================== *)
 
 let micro () =
@@ -1162,8 +1083,6 @@ let experiments =
     ("par-opt", par_opt);
     ("stages", stages);
     ("ablate", ablate);
-    ("running-example", running_example);
-    ("profile", profile);
     ("opt-speed", opt_speed);
     ("serve", serve_bench);
     ("micro", micro);
@@ -1172,7 +1091,7 @@ let experiments =
 let usage () =
   Printf.eprintf
     "usage: bench [EXPERIMENT...] [--sf F] [--segs N] [--workers N]\n\
-    \       [--requests N] [--profile-json PATH] [--json PATH]\n\
+    \       [--requests N] [--json PATH]\n\
      experiments: %s\n"
     (String.concat " " (List.map fst experiments))
 
@@ -1212,14 +1131,11 @@ let () =
     | "--events" :: v :: rest ->
         serve_events := Some v;
         parse rest
-    | "--profile-json" :: v :: rest ->
-        profile_json := Some v;
-        parse rest
     | "--json" :: v :: rest ->
         opt_json := Some v;
         parse rest
     | [ ("--sf" | "--segs" | "--workers" | "--requests" | "--events"
-        | "--profile-json" | "--json") as f ]
+        | "--json") as f ]
       ->
         usage_error "%s expects a value" f
     | x :: rest -> x :: parse rest
@@ -1234,8 +1150,5 @@ let () =
     cmds;
   let dispatch name = (List.assoc name experiments) () in
   match cmds with
-  (* bare --profile-json means "emit the profile", not "run everything" *)
-  | [] -> if !profile_json <> None then profile () else all_experiments ()
-  | cmds ->
-      List.iter dispatch cmds;
-      if !profile_json <> None && not (List.mem "profile" cmds) then profile ()
+  | [] -> all_experiments ()
+  | cmds -> List.iter dispatch cmds

@@ -91,29 +91,6 @@ let accuracy_of ~(metrics : Exec.Metrics.t) (plan : Expr.plan) :
     (Exec.Metrics.node_rows metrics);
   Prov.Accuracy.of_plan ~actual:(Hashtbl.find_opt tbl) plan
 
-(* Deterministic rendering order: the "(all)" summary row first, then the
-   operator classes alphabetically. *)
-let sort_acc_stats (stats : Obs.Report.acc_stat list) =
-  List.sort
-    (fun (a : Obs.Report.acc_stat) (b : Obs.Report.acc_stat) ->
-      match (a.Obs.Report.a_class, b.Obs.Report.a_class) with
-      | "(all)", "(all)" -> 0
-      | "(all)", _ -> -1
-      | _, "(all)" -> 1
-      | x, y -> compare x y)
-    stats
-
-let print_acc_stats (stats : Obs.Report.acc_stat list) =
-  Printf.printf "\ncardinality accuracy (Q-error by operator class):\n";
-  Printf.printf "  %-24s %8s %10s %10s %12s\n" "class" "nodes" "geomean" "max"
-    "unobserved";
-  List.iter
-    (fun (a : Obs.Report.acc_stat) ->
-      Printf.printf "  %-24s %8d %10.3f %10.3f %12d\n" a.Obs.Report.a_class
-        a.Obs.Report.a_nodes (Obs.Report.acc_geomean a) a.Obs.Report.a_max
-        a.Obs.Report.a_unobserved)
-    stats
-
 let print_rows rows =
   List.iter
     (fun row ->
@@ -174,7 +151,9 @@ let explain_analyze env (report : Orca.Optimizer.report) =
   in
   walk 0 plan;
   print_string (Buffer.contents buf);
-  print_acc_stats (sort_acc_stats (Prov.Accuracy.to_acc_stats (accuracy_of ~metrics plan)));
+  print_string
+    (Obs.Report.acc_to_string
+       (Prov.Accuracy.to_acc_stats (accuracy_of ~metrics plan)));
   Printf.printf "\n%s\n" (Exec.Metrics.to_string metrics)
 
 let explain_cmd ~analyze ~why env sql =
@@ -315,8 +294,8 @@ let accuracy_cmd suite json ~sf env sql =
   | false, Some sql ->
       let acc = accuracy_one env "query" sql in
       print_string (Prov.Accuracy.to_string acc);
-      let stats = sort_acc_stats (Prov.Accuracy.to_acc_stats acc) in
-      print_acc_stats stats;
+      let stats = Prov.Accuracy.to_acc_stats acc in
+      print_string (Obs.Report.acc_to_string stats);
       acc_write_json ~sf ~segs:env.nsegs ~queries:1 ~unsupported:0 stats json
   | true, _ ->
       let reports = ref [] and measured = ref 0 in
@@ -339,8 +318,8 @@ let accuracy_cmd suite json ~sf env sql =
             reports := Obs.Report.with_acc Obs.Report.empty stats :: !reports)
       in
       let merged = Obs.Report.merge_all (List.rev !reports) in
-      let stats = sort_acc_stats merged.Obs.Report.acc in
-      print_acc_stats stats;
+      let stats = merged.Obs.Report.acc in
+      print_string (Obs.Report.acc_to_string stats);
       Printf.printf "\naccuracy: %d queries measured, %d unsupported\n"
         !measured skipped;
       acc_write_json ~sf ~segs:env.nsegs ~queries:!measured ~unsupported:skipped
@@ -351,8 +330,7 @@ let accuracy_cmd suite json ~sf env sql =
 (* Compare two runs of the same query under different optimizer
    configurations, or two AMPERe dumps. Exits 1 on divergence, mirroring
    lint's convention. *)
-let diff_cmd off_a off_b strata_a strata_b dump_a dump_b (env : env Lazy.t)
-    sql =
+let diff_cmd off_a off_b dump_a dump_b (env : env Lazy.t) sql =
   let plan_a, plan_b, prov_a, prov_b, label_a, label_b =
     match (dump_a, dump_b, sql) with
     | Some da, Some db, _ ->
@@ -365,27 +343,17 @@ let diff_cmd off_a off_b strata_a strata_b dump_a dump_b (env : env Lazy.t)
         (plan_of da, plan_of db, None, None, da, db)
     | None, None, Some sql ->
         let env = Lazy.force env in
-        (* stratification computed once, only if a side asks for it *)
-        let strata = lazy (Interact.strata (Interact.run ())) in
-        let run off use_strata =
+        let run off =
           let config = Orca.Orca_config.with_prov (base_config env) in
           let config =
             if off then Orca.Orca_config.without_speedups config else config
           in
-          let config =
-            if use_strata then
-              Orca.Orca_config.with_strata config (Lazy.force strata)
-            else config
-          in
           let _, report = optimize_with env config sql in
           (report.Orca.Optimizer.plan, report.Orca.Optimizer.prov)
         in
-        let describe off use_strata =
-          (if off then "speedups off" else "speedups on")
-          ^ if use_strata then ", strata order" else ""
-        in
-        let pa, va = run off_a strata_a and pb, vb = run off_b strata_b in
-        (pa, pb, va, vb, describe off_a strata_a, describe off_b strata_b)
+        let describe off = if off then "speedups off" else "speedups on" in
+        let pa, va = run off_a and pb, vb = run off_b in
+        (pa, pb, va, vb, describe off_a, describe off_b)
     | _ ->
         prerr_endline
           "diff: provide SQL (with --off-a/--off-b), or both --dump-a and \
@@ -831,8 +799,7 @@ let rulecheck_cmd rule seeds json suite =
 (* --- the rule-interaction analyzer (lib/interact) --- *)
 
 (* The static analysis itself needs no warehouse; only --suite builds the
-   env, to compare real Memos against the growth bound and to check that
-   strata scheduling reproduces every plan byte-for-byte. *)
+   env, to compare real Memos against the growth bound. *)
 let interact_cmd dot json suite seeds (env : env Lazy.t) =
   let report = Interact.run ~seeds () in
   let nerr = Interact.error_count report in
@@ -842,27 +809,14 @@ let interact_cmd dot json suite seeds (env : env Lazy.t) =
   let suite_failures = ref 0 in
   if suite then begin
     let env = Lazy.force env in
-    let strata = Interact.strata report in
     let checked = ref 0 in
     let skipped =
       for_each_query (fun label sql ->
-          let config = base_config env in
-          let _, rdef = optimize_with env config sql in
+          let _, r = optimize_with env (base_config env) sql in
           let growth =
-            Interact.check_memo_growth report ~case:label
-              rdef.Orca.Optimizer.memo
-          in
-          let _, rstrat =
-            optimize_with env (Orca.Orca_config.with_strata config strata) sql
+            Interact.check_memo_growth report ~case:label r.Orca.Optimizer.memo
           in
           incr checked;
-          let pd = Dxl.Dxl_plan.to_string rdef.Orca.Optimizer.plan in
-          let ps = Dxl.Dxl_plan.to_string rstrat.Orca.Optimizer.plan in
-          if pd <> ps then begin
-            incr suite_failures;
-            Printf.printf "%-6s strata plan DIVERGES from promise order\n"
-              label
-          end;
           if growth <> [] then begin
             suite_failures := !suite_failures + List.length growth;
             Printf.printf "%-6s growth bound violated:\n" label;
@@ -997,19 +951,6 @@ let () =
             re-optimizing; uses the embedded plan, or replays)."
        in
        let dump_b_arg = dump_arg [ "dump-b" ] "AMPERe dump for side B." in
-       let strata_a_arg =
-         Arg.(
-           value & flag
-           & info [ "strata-a" ]
-               ~doc:
-                 "Schedule run A's rules by interaction-graph stratum \
-                  (lib/interact) instead of promise order.")
-       in
-       let strata_b_arg =
-         Arg.(
-           value & flag
-           & info [ "strata-b" ] ~doc:"Strata scheduling for run B.")
-       in
        let sql_opt_arg =
          Arg.(value & pos 0 (some string) None & info [] ~docv:"SQL")
        in
@@ -1022,13 +963,12 @@ let () =
                and the rule lineage behind each divergent subtree. Exits \
                nonzero when the plans diverge.")
          Term.(
-           const (fun off_a off_b strata_a strata_b dump_a dump_b sf segs
-                      workers sql ->
-               diff_cmd off_a off_b strata_a strata_b dump_a dump_b
+           const (fun off_a off_b dump_a dump_b sf segs workers sql ->
+               diff_cmd off_a off_b dump_a dump_b
                  (lazy (make_env sf segs workers))
                  sql)
-           $ off_a_arg $ off_b_arg $ strata_a_arg $ strata_b_arg $ dump_a_arg
-           $ dump_b_arg $ sf_arg $ segs_arg $ workers_arg $ sql_opt_arg));
+           $ off_a_arg $ off_b_arg $ dump_a_arg $ dump_b_arg $ sf_arg
+           $ segs_arg $ workers_arg $ sql_opt_arg));
       (let suite_arg =
          Arg.(
            value & flag
@@ -1378,10 +1318,8 @@ let () =
            value & flag
            & info [ "suite" ]
                ~doc:
-                 "Also optimize every bundled TPC-DS query twice — promise \
-                  order and strata order — requiring byte-identical plans, \
-                  and check every real Memo group against the static growth \
-                  bound.")
+                 "Also optimize every bundled TPC-DS query and check every \
+                  real Memo group against the static growth bound.")
        in
        let seeds_arg =
          Arg.(

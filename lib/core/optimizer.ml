@@ -84,7 +84,6 @@ let run_stage (config : Orca_config.t) ~(factory : Colref.Factory.t)
       ~speedups:config.Orca_config.speedups
       ~stage_name:stage.Xform.Ruleset.stage_name
       ~prov:config.Orca_config.prov
-      ?strata:config.Orca_config.strata
       ~ruleset:stage.Xform.Ruleset.stage_rules
       ~model:config.Orca_config.model ~factory ~base memo
   in

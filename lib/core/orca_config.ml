@@ -13,11 +13,6 @@ type t = {
   fuzz_seed : int option;    (* cost as scheduler jobs in a seeded order *)
   obs : bool;                (* collect the observability report (lib/obs) *)
   prov : bool;               (* record plan provenance (lib/prov) *)
-  strata : (string * int) list option;
-      (* stage-ordered rule scheduling: rule name -> stratum, the topological
-         order of the rule-interaction graph's SCCs (computed by
-         lib/interact, carried here as plain data so lib/core does not
-         depend on the analyzer). None = promise order only. *)
   speedups : bool;
       (* the hot-path caches: Memo operator interning, the group stats
          memo, the rule shape prefilter and winner/base-cost reuse.
@@ -46,7 +41,6 @@ let default =
     fuzz_seed = None;
     obs = false;
     prov = false;
-    strata = None;
     speedups = true;
     trace_id = None;
   }
@@ -80,8 +74,6 @@ let with_sanitize t = { t with sanitize = true }
 let with_obs t = { t with obs = true }
 
 let with_prov t = { t with prov = true }
-
-let with_strata t strata = { t with strata = Some strata }
 
 let with_fuzz_seed t seed = { t with fuzz_seed = Some seed }
 

@@ -28,11 +28,6 @@ type t = {
       (** record plan provenance: per-gexpr rule origins in the Memo and the
           per-node lineage/losing-alternative annotation on the chosen plan
           (lib/prov); lands in {!Optimizer.report.prov} *)
-  strata : (string * int) list option;
-      (** stage-ordered rule scheduling: rule name -> stratum (the
-          topological order of the rule-interaction graph's SCCs, computed
-          by lib/interact and carried here as plain data). [None] schedules
-          by promise alone. Plan-identical either way. *)
   speedups : bool;
       (** the hot-path caches (see {!without_speedups}); on by default *)
   trace_id : string option;
@@ -73,12 +68,6 @@ val with_prov : t -> t
     off, no origin records are allocated and no annotation is built, so the
     optimization hot path is unaffected (gated by the opt-speed benchmark). *)
 
-val with_strata : t -> (string * int) list -> t
-(** Schedule rules by interaction-graph stratum (ascending), promise
-    breaking ties — the stratification computed by lib/interact. Byte-
-    identical plans to the default promise order (the `interact --suite`
-    check); the substrate for budget-aware scheduling on big join queries. *)
-
 val with_fuzz_seed : t -> int -> t
 (** Cost on the optimization scheduler with its dequeue order drawn from a
     seeded PRNG (see [fuzz_seed]). *)
@@ -102,7 +91,7 @@ val with_trace_id : t -> string -> t
       skew on the costing path;
     - the rule prefilter: skip rule applications whose root-shape bitmap
       rules the group expression out;
-    - winner reuse: skip child Opt spawns on completed contexts, reuse
+    - winner reuse: skip child Opt spawns whose base cost is cached, reuse
       operator base costs across contexts that differ only in required
       properties, and cost by direct recursion at one worker.
 

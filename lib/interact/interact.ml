@@ -8,8 +8,9 @@
    ever reach (shadowing), where the promise order fights the feed order
    (inversions), and how large a group can get as a function of its join
    count (the static growth bound, checked against real Memos). The SCC
-   condensation's topological order is the stratification
-   [Orca_config.with_strata] schedules by. *)
+   condensation's topological order stratifies the rules; the strata are
+   analysis output (report, JSON, DOT clusters), not a rule order the
+   search follows. *)
 
 module Json = Gpos.Json
 module Model = Rulecheck.Model
@@ -263,10 +264,6 @@ let run ?(seeds = default_seeds) ?(bound = default_bound) () : report =
 
 let error_count (r : report) = Diagnostic.count Diagnostic.Error r.diags
 let warning_count (r : report) = Diagnostic.count Diagnostic.Warning r.diags
-
-(* The stratification for [Orca_config.with_strata]: rule name -> stratum. *)
-let strata (r : report) : (string * int) list =
-  List.map (fun rr -> (rr.rr_rule.Rule.name, rr.rr_stratum)) r.rules
 
 (* {2 Static growth bound}
 

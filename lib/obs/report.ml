@@ -50,7 +50,7 @@ type search_stat = {
   c_deadline_checks : int;
   c_stats_hits : int;        (* rows/width/skew served from the stats memo *)
   c_base_reuses : int;       (* op+children base costs served from cache *)
-  c_winner_skips : int;      (* child Opt spawns skipped: context complete *)
+  c_winner_skips : int;      (* child Opt spawns skipped: base cost cached *)
 }
 
 (* Cardinality accuracy per operator class (lib/prov): Q-error =
@@ -253,6 +253,22 @@ let merge_all = List.fold_left merge empty
 
 let pct num den = if den = 0 then 0.0 else 100.0 *. float_of_int num /. float_of_int den
 
+(* The cardinality-accuracy table, one row per class in list order (the
+   merges and [Prov.Accuracy.to_acc_stats] sort by class, which puts the
+   "(all)" row first). *)
+let acc_to_string stats =
+  let buf = Buffer.create 512 in
+  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  pf "\ncardinality accuracy (Q-error by operator class):\n";
+  pf "  %-24s %8s %10s %10s %12s\n" "class" "nodes" "geomean" "max"
+    "unobserved";
+  List.iter
+    (fun a ->
+      pf "  %-24s %8d %10.3f %10.3f %12d\n" a.a_class a.a_nodes
+        (acc_geomean a) a.a_max a.a_unobserved)
+    stats;
+  Buffer.contents buf
+
 let to_string ?(top = 10) t =
   let buf = Buffer.create 2048 in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -331,16 +347,7 @@ let to_string ?(top = 10) t =
          (List.map (fun (k, v) -> Printf.sprintf "%s=%.4g" k v) t.exec))
   end;
   (* cardinality accuracy (lib/prov); absent entirely unless collected *)
-  if t.acc <> [] then begin
-    pf "\ncardinality accuracy (Q-error by operator class):\n";
-    pf "  %-24s %8s %10s %10s %12s\n" "class" "nodes" "geomean" "max"
-      "unobserved";
-    List.iter
-      (fun a ->
-        pf "  %-24s %8d %10.3f %10.3f %12d\n" a.a_class a.a_nodes
-          (acc_geomean a) a.a_max a.a_unobserved)
-      t.acc
-  end;
+  if t.acc <> [] then Buffer.add_string buf (acc_to_string t.acc);
   if t.spans <> [] then begin
     pf "\nspan flame summary:\n";
     Buffer.add_string buf (Trace_export.flame_summary t.spans)

@@ -20,7 +20,7 @@ type acounters = {
   a_alts_pruned : int Atomic.t;       (* enforcer chains the incumbent bound skipped *)
   a_deadline_checks : int Atomic.t;
   a_prefilter_skips : int Atomic.t;   (* rule applications pruned by shape *)
-  a_winner_skips : int Atomic.t;      (* child Opt spawns pruned: ctx complete *)
+  a_winner_skips : int Atomic.t;      (* child Opt spawns pruned: base cost cached *)
   a_base_reuses : int Atomic.t;       (* base costs served from the reuse cache *)
   a_stats_hits : int Atomic.t;        (* rows/width/skew served from the stats memo *)
 }
@@ -53,25 +53,21 @@ type t = {
   counters : acounters;
   obs : bool; (* collect per-rule timings for the observability report *)
   rule_stats : (int, rule_stat) Hashtbl.t; (* rule id -> profile *)
-  strata : (string, int) Hashtbl.t option;
-      (* stage-ordered rule scheduling (lib/interact stratification): rule
-         name -> stratum. When set, pending rules sort by (stratum
-         ascending, promise descending) instead of promise alone. Plans are
-         byte-identical either way — exploration is a fixpoint and the
-         Memo's duplicate detection is order-independent — but stratified
-         order applies feeder rules before the rules they feed, the
-         substrate for budget-aware scheduling on big join queries. *)
+  explore_rules : Xform.Rule.t list;
+  implement_rules : Xform.Rule.t list;
+      (* the stage's rules of each kind, promise descending (paper §8.1),
+         sorted once: filtering applied rules and partitioning off the
+         prefiltered ones keep this order *)
   speedups : bool;
       (* the hot-path caches: skip rules whose shape bitmap rules the root
          out; memoize per-group rows/width and redistribute skew; skip child
-         Opt spawns on complete contexts and reuse base costs across
+         Opt spawns whose base cost is cached and reuse base costs across
          contexts differing only in the required properties. Each preserves
          the chosen plan and its cost exactly (test/test_perf_identity.ml
          proves it per query). *)
   direct_costing : bool;
       (* cost by direct recursion instead of Opt jobs: one worker, speedups
          on, and no fuzz seed (the seed permutes only [sched_opt]) *)
-  opt_workers : int;
   (* rows/width per canonical group id: frozen before costing starts (the
      optimization phase inserts nothing), so parallel Opt jobs read them
      without a lock *)
@@ -100,19 +96,17 @@ type t = {
 }
 
 let create ?(workers = 1) ?fuzz_seed ?(obs = false) ?(speedups = true)
-    ?(stage_name = "stage") ?(prov = false) ?strata
-    ~ruleset ~model ~factory ~base memo =
-  let strata =
-    Option.map
-      (fun assoc ->
-        let tbl = Hashtbl.create 32 in
-        List.iter (fun (name, s) -> Hashtbl.replace tbl name s) assoc;
-        tbl)
-      strata
+    ?(stage_name = "stage") ?(prov = false) ~ruleset ~model ~factory ~base
+    memo =
+  (* stable: rules of equal promise keep their rule-set order *)
+  let by_promise rules =
+    List.stable_sort
+      (fun (a : Xform.Rule.t) b ->
+        compare b.Xform.Rule.promise a.Xform.Rule.promise)
+      rules
   in
   {
     memo;
-    strata;
     ruleset;
     stage_name;
     prov;
@@ -149,9 +143,10 @@ let create ?(workers = 1) ?fuzz_seed ?(obs = false) ?(speedups = true)
       };
     obs;
     rule_stats = Hashtbl.create 64;
+    explore_rules = by_promise (Xform.Ruleset.exploration ruleset);
+    implement_rules = by_promise (Xform.Ruleset.implementation ruleset);
     speedups;
     direct_costing = workers = 1 && speedups && Option.is_none fuzz_seed;
-    opt_workers = workers;
     rows_cache = Hashtbl.create 256;
     width_cache = Hashtbl.create 256;
     skew_cache = Hashtbl.create 256;
@@ -227,8 +222,9 @@ let xform_job t (ge : Memo.gexpr) (rule : Xform.Rule.t) () =
     results;
   Gpos.Scheduler.Finished
 
-(* Apply all not-yet-applied rules of [kind] to a group expression, after
-   recursively processing child groups with [child_group_job]. *)
+(* Apply all not-yet-applied [rules] (promise descending) to a group
+   expression, after recursively processing child groups with
+   [child_group_job]. *)
 let gexpr_job t (ge : Memo.gexpr) ~(rules : Xform.Rule.t list)
     ~(respect_deadline : bool) ~(mark : Memo.gexpr -> unit)
     ~(child_goal : int -> string)
@@ -301,28 +297,6 @@ let gexpr_job t (ge : Memo.gexpr) ~(rules : Xform.Rule.t list)
                   rs.rs_prefiltered <- rs.rs_prefiltered + 1)
                 prefiltered
           end;
-          let pending =
-            match t.strata with
-            | None ->
-                List.sort
-                  (fun (a : Xform.Rule.t) b ->
-                    compare b.Xform.Rule.promise a.Xform.Rule.promise)
-                  pending
-            | Some tbl ->
-                (* stratified scheduling: interaction-graph stratum first
-                   (feeders before the rules they feed), promise breaking
-                   ties within a stratum; unknown rules sort last *)
-                let stratum (r : Xform.Rule.t) =
-                  Option.value ~default:max_int
-                    (Hashtbl.find_opt tbl r.Xform.Rule.name)
-                in
-                List.sort
-                  (fun (a : Xform.Rule.t) b ->
-                    compare
-                      (stratum a, -a.Xform.Rule.promise)
-                      (stratum b, -b.Xform.Rule.promise))
-                  pending
-          in
           List.iter
             (fun (r : Xform.Rule.t) ->
               ge.Memo.ge_applied <- r.Xform.Rule.id :: ge.Memo.ge_applied)
@@ -368,7 +342,7 @@ let rec exp_group_job t gid () =
              {
                Gpos.Scheduler.run =
                  gexpr_job t ge
-                   ~rules:(Xform.Ruleset.exploration t.ruleset)
+                   ~rules:t.explore_rules
                    ~respect_deadline:true
                    ~mark:(fun ge -> ge.Memo.ge_explored <- true)
                    ~child_goal:(fun gid -> Printf.sprintf "exp:%d" gid)
@@ -401,7 +375,7 @@ let rec imp_group_job t gid () =
              {
                Gpos.Scheduler.run =
                  gexpr_job t ge
-                   ~rules:(Xform.Ruleset.implementation t.ruleset)
+                   ~rules:t.implement_rules
                    ~respect_deadline:false
                    ~mark:(fun ge -> ge.Memo.ge_implemented <- true)
                    ~child_goal:(fun gid -> Printf.sprintf "imp:%d" gid)
@@ -760,23 +734,12 @@ and opt_gexpr_job t ctx gid ge op req =
           else begin
             (* the goal queue would deduplicate these anyway, but each spawn
                pays a job allocation, a goal-string format and a queue
-               transaction; drop local duplicates up front, and — on the
-               deterministic single-worker schedule, where no other domain
-               can be mid-write — drop goals whose context already completed *)
+               transaction; drop local duplicates up front *)
             let seen = Hashtbl.create 8 in
             List.filter
-              (fun ((cg, cr) as key) ->
+              (fun key ->
                 if Hashtbl.mem seen key then false
-                else begin
-                  Hashtbl.replace seen key ();
-                  if t.opt_workers > 1 || Gpos.Trace.enabled () then true
-                  else
-                    match Memo.find_context t.memo cg cr with
-                    | Some cctx when cctx.Memo.cx_state = Memo.Ctx_complete ->
-                        bump_by t.counters.a_winner_skips 1;
-                        false
-                    | _ -> true
-                end)
+                else (Hashtbl.replace seen key (); true))
               pairs
           end
         in

@@ -18,7 +18,6 @@ val create :
   ?speedups:bool ->
   ?stage_name:string ->
   ?prov:bool ->
-  ?strata:(string * int) list ->
   ruleset:Xform.Ruleset.t ->
   model:Cost.Cost_model.t ->
   factory:Colref.Factory.t ->
@@ -34,19 +33,16 @@ val create :
     additionally collects per-rule firing counts and timings for the
     observability report. [prov] (default false) stamps every rule result
     with its origin — rule, source expression, [stage_name], promise — for
-    the provenance layer (lib/prov). [strata] (default none) is a
-    rule-name -> stratum map (lib/interact's stratification of the
-    rule-interaction graph): when set, pending rules on a group expression
-    sort by stratum ascending, promise descending within a stratum.
-    Plan-identical to the default promise order — exploration is a
-    fixpoint with order-independent duplicate detection.
+    the provenance layer (lib/prov). Rules fire in promise order (paper
+    §8.1), highest first, ties in rule-set order: the stage's exploration
+    and implementation rules are sorted once here.
 
     [speedups] (default true) switches the hot-path caches, none of which
     changes the chosen plan or its cost: the shape prefilter skips rule
     applications whose root-shape bitmap rules the expression out (the body
     would return []); the stats memo keeps per-group row counts, row widths
-    and redistribute skew; winner reuse skips spawning child Opt jobs whose
-    context already completed (single-worker schedules only), reuses the
+    and redistribute skew; winner reuse skips spawning child Opt jobs for a
+    child-request vector whose base cost is already cached, reuses the
     operator's base cost across optimization contexts that differ only in
     required properties, and at one worker without a fuzz seed costs by
     direct recursion instead of jobs. *)

@@ -191,10 +191,13 @@ let set_op_stats (kind : Expr.set_kind) (out_cols : Colref.t list)
         (Float.max 1.0 (Relstats.rows s1 -. (0.5 *. Relstats.rows s2)))
   | _, [] | _, [ _ ] -> Relstats.empty
 
-(* Statistics of a logical operator given children statistics. [segments]
-   bounds the output of Partial (per-segment) aggregates: each segment emits
-   at most one row per group. *)
-let derive ?(segments = 16.0) ~(base : Table_desc.t -> Relstats.t)
+(* The segment count that bounds the output of Partial (per-segment)
+   aggregates: each segment emits at most one row per group. Fixed, whatever
+   cluster size the cost model prices for. *)
+let partial_agg_segments = 16.0
+
+(* Statistics of a logical operator given children statistics. *)
+let derive ~(base : Table_desc.t -> Relstats.t)
     ~(cte : int -> Relstats.t option) (op : Expr.logical)
     ~(children : Relstats.t list) ~(child_schemas : Colref.t list list) :
     Relstats.t =
@@ -233,10 +236,11 @@ let derive ?(segments = 16.0) ~(base : Table_desc.t -> Relstats.t)
       match phase with
       | Expr.One_phase | Expr.Final -> one_phase
       | Expr.Partial ->
-          (* per-segment aggregation: up to [segments] rows per group *)
+          (* per-segment aggregation: up to [partial_agg_segments] rows
+             per group *)
           let rows =
             Float.min (Relstats.rows (child 0))
-              (Relstats.rows one_phase *. segments)
+              (Relstats.rows one_phase *. partial_agg_segments)
           in
           Relstats.set_rows one_phase rows)
   | Expr.L_window (_, _, wfuncs) ->

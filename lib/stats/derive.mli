@@ -33,15 +33,14 @@ val gb_agg_stats : Colref.t list -> Expr.agg list -> Relstats.t -> Relstats.t
     histograms; empty keys = one row. *)
 
 val derive :
-  ?segments:float ->
   base:(Table_desc.t -> Relstats.t) ->
   cte:(int -> Relstats.t option) ->
   Expr.logical ->
   children:Relstats.t list ->
   child_schemas:Colref.t list list ->
   Relstats.t
-(** Statistics of any logical operator. [segments] bounds Partial
-    (per-segment) aggregate outputs. *)
+(** Statistics of any logical operator. Partial (per-segment) aggregate
+    outputs are bounded by a fixed 16 segments. *)
 
 val promise : Expr.logical -> int
 (** Statistics promise (paper §4.1): expressions with fewer join conditions

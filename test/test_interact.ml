@@ -6,8 +6,7 @@ module L = Logical_ops
 
 (* Tests for lib/interact: the analysis must be clean on the shipped rule
    set, each broken fixture must be caught by its own distinct interact/*
-   diagnostic id, the shape-mask lattice must obey its laws, and strata
-   scheduling must reproduce the default plans byte-for-byte. *)
+   diagnostic id, and the shape-mask lattice must obey its laws. *)
 
 let has_diag ?severity ?node id diags =
   List.exists
@@ -165,32 +164,6 @@ let test_static_bound_monotone () =
   Alcotest.(check (float 1e-9)) "leaves have no orbit" 1.0
     (Interact.join_orbit 1)
 
-(* --- strata scheduling reproduces the default plans ---------------------- *)
-
-let test_strata_plan_identity () =
-  let report = Lazy.force default_report in
-  let strata = Interact.strata report in
-  Alcotest.(check int) "one stratum per rule" 23 (List.length strata);
-  List.iter
-    (fun sql ->
-      let plan config =
-        let accessor = Fixtures.small_accessor () in
-        let query = Sqlfront.Binder.bind_sql accessor sql in
-        let r = Orca.Optimizer.optimize ~config accessor query in
-        Dxl.Dxl_plan.to_string r.Orca.Optimizer.plan
-      in
-      let base = Lazy.force Fixtures.orca_config in
-      Alcotest.(check string)
-        ("byte-identical plan: " ^ sql)
-        (plan base)
-        (plan (Orca.Orca_config.with_strata base strata)))
-    [
-      "SELECT a, b FROM t1 WHERE b < 50";
-      "SELECT t1.a, t2.b FROM t1, t2 WHERE t1.a = t2.b AND t2.a < 100";
-      "SELECT a, SUM(b) AS s FROM t1 GROUP BY a";
-      "SELECT x.a FROM t1 x, t1 y, t2 z WHERE x.a = y.a AND y.b = z.b";
-    ]
-
 (* --- qcheck: the shape-mask lattice laws --------------------------------- *)
 
 let mask_gen = QCheck.int_range 0 L.all_shapes_mask
@@ -259,8 +232,6 @@ let suite =
     Alcotest.test_case "edge shapes round-trip inference" `Quick
       test_edge_shape_roundtrip;
     Alcotest.test_case "static growth bound" `Slow test_static_bound_monotone;
-    Alcotest.test_case "strata plans byte-identical" `Slow
-      test_strata_plan_identity;
     QCheck_alcotest.to_alcotest prop_union_inter_laws;
     QCheck_alcotest.to_alcotest prop_subset_diff_laws;
     QCheck_alcotest.to_alcotest prop_mask_string_roundtrip;

@@ -289,6 +289,65 @@ let test_bound_accounts_for_every_alternative () =
         (pruned > 0))
     [ 5; 75 ]
 
+(* Rules fire in promise order, highest first. Each rule application on a
+   source expression inserts its new expressions at once, so walking the
+   expressions one source's exploration (or implementation) rules created,
+   in gexpr-id order, the recorded promises must never rise. *)
+let test_rules_fire_in_promise_order () =
+  let accessor = Fixtures.small_accessor () in
+  let sql =
+    "SELECT x.a FROM t1 x, t1 y, t2 z WHERE x.a = y.a AND y.b = z.b"
+  in
+  let query = Sqlfront.Binder.bind_sql accessor sql in
+  let config = Orca.Orca_config.with_prov (Lazy.force Fixtures.orca_config) in
+  let memo =
+    (Orca.Optimizer.optimize ~config accessor query).Orca.Optimizer.memo
+  in
+  let exploration name =
+    match Xform.Ruleset.find_by_name Xform.Ruleset.default name with
+    | Some r -> Xform.Rule.is_exploration r
+    | None -> Alcotest.failf "unknown rule %s" name
+  in
+  (* (kind, source ge_id) -> (ge_id, promise) of every expression created *)
+  let created = Hashtbl.create 64 in
+  List.iter
+    (fun gid ->
+      let g = Memo.group memo gid in
+      List.iter
+        (fun (ge : Memo.gexpr) ->
+          Option.iter
+            (fun (o : Memo.origin) ->
+              let key = (exploration o.Memo.o_rule, o.Memo.o_source) in
+              let prev =
+                Option.value ~default:[] (Hashtbl.find_opt created key)
+              in
+              Hashtbl.replace created key
+                ((ge.Memo.ge_id, o.Memo.o_promise) :: prev))
+            ge.Memo.ge_origin)
+        (List.map fst (Memo.logical_exprs g)
+        @ List.map fst (Memo.physical_exprs g)))
+    (Memo.group_ids memo);
+  let mixed = Hashtbl.create 2 in
+  Hashtbl.iter
+    (fun (explore, src) made ->
+      let promises = List.map snd (List.sort compare made) in
+      let rec non_rising = function
+        | p :: (q :: _ as rest) -> p >= q && non_rising rest
+        | _ -> true
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s rules on gexpr %d: promises never rise"
+           (if explore then "exploration" else "implementation") src)
+        true (non_rising promises);
+      if List.length (List.sort_uniq compare promises) > 1 then
+        Hashtbl.replace mixed explore ())
+    created;
+  (* not vacuous: some source saw rules of different promise fire *)
+  Alcotest.(check bool) "an exploration source fired mixed promises" true
+    (Hashtbl.mem mixed true);
+  Alcotest.(check bool) "an implementation source fired mixed promises" true
+    (Hashtbl.mem mixed false)
+
 let suite =
   [
     Alcotest.test_case "join request schedules" `Quick test_join_request_schedules;
@@ -303,4 +362,6 @@ let suite =
     Alcotest.test_case "index scan end to end" `Quick test_index_scan_end_to_end;
     Alcotest.test_case "bound: offered + pruned = derived (q5, q75)" `Quick
       test_bound_accounts_for_every_alternative;
+    Alcotest.test_case "rules fire in promise order" `Quick
+      test_rules_fire_in_promise_order;
   ]

@@ -26,7 +26,11 @@
      machine speed with search shape). Missing quantile fields in either
      report are fatal: regenerate the baseline with the current bench.
 
-   identity_violations must be 0 in the fresh report, full stop.
+   identity_violations must be 0 in the fresh report, full stop. So must
+   every query's plan_fnv1a, the digest of its caches-on DXL plan: a plan
+   that differs from the baseline's, or a query whose digest is missing,
+   fails — the speedups and the search-shape counters are only comparable
+   while the plans are the same.
 
    A metric's tolerance can be overridden per key with repeatable
    --override NAME=TOL arguments (e.g. --override misses=0.5), taking
@@ -246,6 +250,49 @@ let opt_gate ~tol ~q_tolerance baseline fresh =
     (num_field baseline "on_ms_total") (num_field fresh "on_ms_total")
     (num_field baseline "off_ms_total") (num_field fresh "off_ms_total")
 
+(* Per-query plan digests, matched on qid: every baseline query must be in
+   the fresh report with the same digest. A baseline without digests
+   predates them and must be regenerated. *)
+let plan_digests baseline fresh =
+  let digests path report =
+    match Json.member "queries" report with
+    | Some (Json.Arr qs) ->
+        List.map
+          (fun q ->
+            let qid =
+              match Option.bind (Json.member "qid" q) Json.to_float with
+              | Some f -> int_of_float f
+              | None -> failwith (Printf.sprintf "%s: a query without qid" path)
+            in
+            match Json.member "plan_fnv1a" q with
+            | Some (Json.Str d) -> (qid, Some d)
+            | _ -> (qid, None))
+          qs
+    | _ -> failwith (Printf.sprintf "%s: no \"queries\" array" path)
+  in
+  let base = digests "baseline" baseline and got = digests "fresh" fresh in
+  let equal = ref 0 in
+  List.iter
+    (fun (qid, d) ->
+      match (d, List.assoc_opt qid got) with
+      | None, _ ->
+          failwith
+            (Printf.sprintf
+               "baseline q%d has no plan_fnv1a: regenerate BENCH_opt.json" qid)
+      | Some d, Some (Some d') when d = d' -> incr equal
+      | Some d, fresh_digest ->
+          incr failures;
+          Printf.printf "FAIL  plan q%-24d baseline=%-12s fresh=%-12s %s\n" qid
+            d
+            (match fresh_digest with Some (Some d') -> d' | _ -> "-")
+            (match fresh_digest with
+            | Some (Some _) -> "(the plan changed)"
+            | _ -> "(digest missing from fresh report)"))
+    base;
+  Printf.printf "%s  %-28s %d of %d equal\n"
+    (if !equal = List.length base then "ok  " else "FAIL")
+    "plan_fnv1a" !equal (List.length base)
+
 (* --- the telemetry gate (--metrics) ---
 
    Two `orca_cli metrics --json` snapshots, matched series by series on
@@ -435,6 +482,7 @@ let () =
         opt_gate ~tol ~q_tolerance:!q_tolerance
           (summary !baseline_path baseline)
           (summary !fresh_path fresh);
+        plan_digests baseline fresh;
         "perf"
   in
   if !failures > 0 then begin

@@ -574,8 +574,9 @@ let opt_json = ref None
    timing both and proving the chosen plan and its cost identical. A third
    pass with observability on collects the machine-independent counters
    (Memo sizes, rule pre-filter skips, base-cost reuses) that the CI perf
-   gate compares across commits; wall times are recorded in the JSON but not
-   gated across machines (see bench/gate.ml). *)
+   gate compares across commits, and each query's FNV-1a digest of its
+   caches-on DXL plan, which the gate requires unchanged; wall times are
+   recorded in the JSON but not gated across machines (see bench/gate.ml). *)
 let opt_speed () =
   let e = get_env () in
   header
@@ -585,6 +586,7 @@ let opt_speed () =
   let cfg_obs = Orca.Orca_config.with_obs cfg_on in
   let rows = ref [] in
   let mismatches = ref [] in
+  let digests = Hashtbl.create 128 in
   List.iter
     (fun (q : Tpcds.Queries.def) ->
       let qid = q.Tpcds.Queries.qid in
@@ -613,6 +615,7 @@ let opt_speed () =
            shape of the search (same Memo growth) *)
         let dxl_on = Dxl.Dxl_plan.to_string r_on.Orca.Optimizer.plan in
         let dxl_off = Dxl.Dxl_plan.to_string r_off.Orca.Optimizer.plan in
+        Hashtbl.replace digests qid (Server.Normalize.fnv1a dxl_on);
         if dxl_on <> dxl_off then
           mismatches :=
             Printf.sprintf "q%d: plan DXL differs" qid :: !mismatches;
@@ -763,6 +766,7 @@ let opt_speed () =
               ("rule_prefiltered", int p);
               ("base_reuses", int search.Obs.Report.c_base_reuses);
               ("winner_skips", int search.Obs.Report.c_winner_skips);
+              ("plan_fnv1a", Str (Hashtbl.find digests q.Tpcds.Queries.qid));
             ])
       in
       write_json ~experiment:"opt-speed" ~what:"opt-speed" path

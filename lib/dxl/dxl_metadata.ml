@@ -141,19 +141,27 @@ let histogram_to_xml (h : Stats.Histogram.t) : Xml.element =
                   ]))
          h.Stats.Histogram.buckets)
 
+(* A read histogram must keep the bucket invariant the histogram joins
+   rely on (Stats.Histogram); a document breaking it is rejected. *)
 let histogram_of_xml (e : Xml.element) : Stats.Histogram.t =
-  {
-    Stats.Histogram.null_rows = float_of_string (Xml.attr_exn e "NullRows");
-    buckets =
-      Xml.children_named e "dxl:Bucket"
-      |> List.map (fun b ->
-             {
-               Stats.Histogram.lo = Ir.Datum.deserialize (Xml.attr_exn b "Lo");
-               hi = Ir.Datum.deserialize (Xml.attr_exn b "Hi");
-               rows = float_of_string (Xml.attr_exn b "Rows");
-               ndv = float_of_string (Xml.attr_exn b "Ndv");
-             });
-  }
+  let h =
+    {
+      Stats.Histogram.null_rows = float_of_string (Xml.attr_exn e "NullRows");
+      buckets =
+        Xml.children_named e "dxl:Bucket"
+        |> List.map (fun b ->
+               {
+                 Stats.Histogram.lo = Ir.Datum.deserialize (Xml.attr_exn b "Lo");
+                 hi = Ir.Datum.deserialize (Xml.attr_exn b "Hi");
+                 rows = float_of_string (Xml.attr_exn b "Rows");
+                 ndv = float_of_string (Xml.attr_exn b "Ndv");
+               });
+    }
+  in
+  if not (Stats.Histogram.well_formed h) then
+    Gpos.Gpos_error.raise_error Gpos.Gpos_error.Dxl_error
+      "histogram buckets out of order or overlapping";
+  h
 
 let rel_stats_to_xml (s : Metadata.rel_stats_md) : Xml.element =
   Xml.element "dxl:RelStats"

@@ -173,29 +173,47 @@ let trace_access obj write =
   if Gpos.Trace.enabled () then
     Gpos.Trace.emit (Gpos.Trace.Access { obj = obj (); write })
 
+(* Lock, run, unlock — also when [f] raises, re-raising with its
+   backtrace. Written out rather than through [Fun.protect]: these wrap
+   every context lookup and winner update of costing, where the closures
+   [Fun.protect] allocates showed in profiles. *)
+let unlock_memo t =
+  if Gpos.Trace.enabled () then
+    Gpos.Trace.emit (Gpos.Trace.Lock_released { lock = "memo" });
+  Mutex.unlock t.lock
+
 let with_lock t f =
   Mutex.lock t.lock;
   if Gpos.Trace.enabled () then
     Gpos.Trace.emit (Gpos.Trace.Lock_acquired { lock = "memo" });
-  Fun.protect
-    ~finally:(fun () ->
-      if Gpos.Trace.enabled () then
-        Gpos.Trace.emit (Gpos.Trace.Lock_released { lock = "memo" });
-      Mutex.unlock t.lock)
-    f
+  match f () with
+  | v ->
+      unlock_memo t;
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      unlock_memo t;
+      Printexc.raise_with_backtrace e bt
+
+let unlock_group (g : group) =
+  if Gpos.Trace.enabled () then
+    Gpos.Trace.emit
+      (Gpos.Trace.Lock_released { lock = "group:" ^ string_of_int g.g_id });
+  Mutex.unlock g.g_lock
 
 let with_group_lock (g : group) f =
   Mutex.lock g.g_lock;
   if Gpos.Trace.enabled () then
     Gpos.Trace.emit
       (Gpos.Trace.Lock_acquired { lock = "group:" ^ string_of_int g.g_id });
-  Fun.protect
-    ~finally:(fun () ->
-      if Gpos.Trace.enabled () then
-        Gpos.Trace.emit
-          (Gpos.Trace.Lock_released { lock = "group:" ^ string_of_int g.g_id });
-      Mutex.unlock g.g_lock)
-    f
+  match f () with
+  | v ->
+      unlock_group g;
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      unlock_group g;
+      Printexc.raise_with_backtrace e bt
 
 let group_unsafe t id = t.groups.(id)
 

@@ -36,6 +36,27 @@ type rule_stat = {
   mutable rs_time_ms : float;
 }
 
+(* A base cost: the operator's local cost, its children's cost, the
+   properties it delivers and what each child best delivered. *)
+type base = float * float * Props.derived * Props.derived list
+
+(* One child-request vector of a group expression, shared by every parent
+   request whose [Requests.alternatives] list holds it (equal under
+   [Props.req_equal]), and its base cost once priced. *)
+type vector = { v_reqs : Props.req list; mutable v_base : base option }
+
+(* A group expression's row of the request-vector table. Most operators ask
+   the same vectors of their children whatever the parent requests: those
+   are built once ([r_fixed]). Filter, project and sequence pass the parent
+   request through, so theirs are built once per parent request
+   ([r_by_req]). [r_pool] holds every vector of the row, so a vector two
+   parent requests both produce (a projection's [[any]]) is one record. *)
+type row = {
+  mutable r_fixed : vector list option;
+  mutable r_by_req : (Props.req * vector list) list;
+  mutable r_pool : vector list;
+}
+
 type t = {
   memo : Memo.t;
   ruleset : Xform.Ruleset.t;
@@ -68,26 +89,24 @@ type t = {
   direct_costing : bool;
       (* cost by direct recursion instead of Opt jobs: one worker, speedups
          on, and no fuzz seed (the seed permutes only [sched_opt]) *)
-  (* rows/width per canonical group id: frozen before costing starts (the
-     optimization phase inserts nothing), so parallel Opt jobs read them
-     without a lock *)
-  rows_cache : (int, float) Hashtbl.t;
-  width_cache : (int, float) Hashtbl.t;
+  (* rows/width indexed by canonical group id, [nan] where not frozen:
+     filled before costing starts (the optimization phase inserts nothing),
+     so parallel Opt jobs read them without a lock *)
+  mutable rows_cache : float array;
+  mutable width_cache : float array;
   (* redistribute-skew per (canonical group id, hash exprs): filled during
      costing, hence mutex-guarded *)
   skew_cache : (int * Expr.scalar list, float) Hashtbl.t;
   skew_lock : Mutex.t;
-  (* (gexpr id, child request vector) -> (local cost, children cost,
-     delivered properties, child deliveries). Valid across optimization
-     contexts: child bests are final before any parent costs against them
-     (the goal-queue barrier), and the operator's cost inputs are fixed per
-     (gexpr, child requests). Filled in every configuration, since
-     [alternatives] rebuilds contexts from it; costing reads it back only
-     under [speedups]. *)
-  cost_cache :
-    ( int * Props.req list,
-      float * float * Props.derived * Props.derived list )
-    Hashtbl.t;
+  (* the request-vector table, indexed by gexpr id and sized when costing
+     starts (the optimization phase inserts nothing). A vector's base cost is
+     valid across optimization contexts: child bests are final before any
+     parent costs against them (the goal-queue barrier), and the operator's
+     cost inputs are fixed per (gexpr, child requests). Bases are stored in
+     every configuration, since [alternatives] rebuilds contexts from them;
+     costing reads them back only under [speedups]. [cost_lock] guards the
+     rows and every vector's [v_base]. *)
+  mutable vectors : row option array;
   cost_lock : Mutex.t;
   (* (group id, request fingerprint) -> goal string, so repeat spawns skip
      the sprintf *)
@@ -147,11 +166,11 @@ let create ?(workers = 1) ?fuzz_seed ?(obs = false) ?(speedups = true)
     implement_rules = by_promise (Xform.Ruleset.implementation ruleset);
     speedups;
     direct_costing = workers = 1 && speedups && Option.is_none fuzz_seed;
-    rows_cache = Hashtbl.create 256;
-    width_cache = Hashtbl.create 256;
+    rows_cache = [||];
+    width_cache = [||];
     skew_cache = Hashtbl.create 256;
     skew_lock = Mutex.create ();
-    cost_cache = Hashtbl.create 1024;
+    vectors = [||];
     cost_lock = Mutex.create ();
     goal_cache = Hashtbl.create 256;
     goal_lock = Mutex.create ();
@@ -398,30 +417,34 @@ let compute_group_width t gid =
 (* [count] = false reads without bumping the stats-hit counter: deriving a
    context's alternatives after costing must leave the work counts as the
    costing left them. *)
+let frozen ~count t cache compute gid =
+  let v = if gid < Array.length cache then cache.(gid) else nan in
+  if Float.is_nan v then compute t gid
+  else begin
+    if count then Atomic.incr t.counters.a_stats_hits;
+    v
+  end
+
 let group_rows ?(count = true) t gid =
-  match Hashtbl.find_opt t.rows_cache gid with
-  | Some r ->
-      if count then Atomic.incr t.counters.a_stats_hits;
-      r
-  | None -> compute_group_rows t gid
+  frozen ~count t t.rows_cache compute_group_rows gid
 
 let group_width ?(count = true) t gid =
-  match Hashtbl.find_opt t.width_cache gid with
-  | Some w ->
-      if count then Atomic.incr t.counters.a_stats_hits;
-      w
-  | None -> compute_group_width t gid
+  frozen ~count t t.width_cache compute_group_width gid
 
 (* Freeze rows/width per live group before costing: the optimization phase
    inserts nothing into the Memo, so the cached values stay canonical and
-   parallel Opt jobs can read the tables lock-free. *)
+   parallel Opt jobs can read the arrays lock-free. *)
 let freeze_group_caches t =
-  if t.speedups then
+  if t.speedups then begin
+    let n = Memo.ngroups t.memo in
+    t.rows_cache <- Array.make n nan;
+    t.width_cache <- Array.make n nan;
     List.iter
       (fun gid ->
-        Hashtbl.replace t.rows_cache gid (compute_group_rows t gid);
-        Hashtbl.replace t.width_cache gid (compute_group_width t gid))
+        t.rows_cache.(gid) <- compute_group_rows t gid;
+        t.width_cache.(gid) <- compute_group_width t gid)
       (Memo.group_ids t.memo)
+  end
 
 (* Skew of the columns a redistribute enforcer hashes on. *)
 let compute_redistribute_skew t gid es =
@@ -463,21 +486,72 @@ let redistribute_skew ?(count = true) t gid (enf : Props.enforcer) =
       end
   | _ -> 1.0
 
-(* The [cost_cache] entry of one (gexpr, child-request vector) when costing
-   may reuse it (under [speedups]). *)
-let cached_base t (ge : Memo.gexpr) child_reqs =
-  if not t.speedups then None
-  else begin
-    Mutex.lock t.cost_lock;
-    let hit = Hashtbl.find_opt t.cost_cache (ge.Memo.ge_id, child_reqs) in
-    Mutex.unlock t.cost_lock;
-    hit
-  end
+let child_requests t (ge : Memo.gexpr) op req =
+  Requests.alternatives op ~req
+    ~child_out_cols:(List.map (Memo.output_cols t.memo) ge.Memo.ge_children)
 
-(* The [cost_cache] entry of one (gexpr, child-request vector), computed
-   and stored on a miss; [None] while a child has no winner. *)
-let base_cost t gid (ge : Memo.gexpr) (op : Expr.physical) child_reqs =
-  match cached_base t ge child_reqs with
+(* The row of [ge], made on first use; under [cost_lock]. *)
+let row t (ge : Memo.gexpr) =
+  match t.vectors.(ge.Memo.ge_id) with
+  | Some r -> r
+  | None ->
+      let r = { r_fixed = None; r_by_req = []; r_pool = [] } in
+      t.vectors.(ge.Memo.ge_id) <- Some r;
+      r
+
+(* [ge]'s vectors under parent request [req], in [Requests.alternatives]
+   order, each built once per row. *)
+let request_vectors t (ge : Memo.gexpr) op req =
+  let build r =
+    List.map
+      (fun reqs ->
+        match
+          List.find_opt
+            (fun v -> List.equal Props.req_equal v.v_reqs reqs)
+            r.r_pool
+        with
+        | Some v -> v
+        | None ->
+            let v = { v_reqs = reqs; v_base = None } in
+            r.r_pool <- v :: r.r_pool;
+            v)
+      (child_requests t ge op req)
+  in
+  Mutex.lock t.cost_lock;
+  let r = row t ge in
+  let vs =
+    if not (Requests.passes_request op) then (
+      match r.r_fixed with
+      | Some vs -> vs
+      | None ->
+          let vs = build r in
+          r.r_fixed <- Some vs;
+          vs)
+    else
+      match List.find_opt (fun (q, _) -> Props.req_equal q req) r.r_by_req with
+      | Some (_, vs) -> vs
+      | None ->
+          let vs = build r in
+          r.r_by_req <- (req, vs) :: r.r_by_req;
+          vs
+  in
+  Mutex.unlock t.cost_lock;
+  vs
+
+let read_base t v =
+  Mutex.lock t.cost_lock;
+  let b = v.v_base in
+  Mutex.unlock t.cost_lock;
+  b
+
+(* A vector's base cost when costing may reuse it (under [speedups]). *)
+let cached_base t v = if t.speedups then read_base t v else None
+
+(* A vector's base cost, computed and stored on a miss; [None] while a
+   child has no winner. *)
+let base_cost t gid (ge : Memo.gexpr) (op : Expr.physical) v =
+  let child_reqs = v.v_reqs in
+  match cached_base t v with
   | Some hit ->
       bump_by t.counters.a_base_reuses 1;
       Some hit
@@ -528,7 +602,7 @@ let base_cost t gid (ge : Memo.gexpr) (op : Expr.physical) child_reqs =
         in
         let entry = (local, children_cost, delivered, child_derived) in
         Mutex.lock t.cost_lock;
-        Hashtbl.replace t.cost_cache (ge.Memo.ge_id, child_reqs) entry;
+        v.v_base <- Some entry;
         Mutex.unlock t.cost_lock;
         Some entry
       end
@@ -597,23 +671,19 @@ let offer_alternatives t (ctx : Memo.context) gid ge child_reqs
 
 (* Cost one (gexpr, child-request vector) and offer its alternatives. *)
 let cost_alternative t (ctx : Memo.context) (gid : int) (ge : Memo.gexpr)
-    (op : Expr.physical) (child_reqs : Props.req list) : unit =
-  match base_cost t gid ge op child_reqs with
+    (op : Expr.physical) v : unit =
+  match base_cost t gid ge op v with
   | None -> ()
-  | Some base -> offer_alternatives t ctx gid ge child_reqs base
-
-let child_requests t (ge : Memo.gexpr) op req =
-  Requests.alternatives op ~req
-    ~child_out_cols:(List.map (Memo.output_cols t.memo) ge.Memo.ge_children)
+  | Some base -> offer_alternatives t ctx gid ge v.v_reqs base
 
 (* The alternatives of a context, rebuilt after costing (installed as
    [Memo.alternatives]; DESIGN.md says why the rebuild is exact). The
    direct driver costs the group's physical expressions, each one's
    child-request vectors and each vector's enforcer chains in exactly this
    order, from inputs that are fixed once costing is done: the Memo, the
-   base costs in [cost_cache] (a vector whose children had no winner was
-   never offered and has no entry; one the incumbent bound pruned has
-   one) and the frozen row, width and skew figures. So the list holds what
+   base costs in the request-vector table (a vector whose children had no
+   winner was never offered and has no base; one the incumbent bound
+   pruned has one) and the frozen row, width and skew figures. So the list holds what
    costing offered or pruned, newest first, with bit-identical costs;
    scheduled costing (workers > 1, speedups off) reached the same
    alternatives in job order. *)
@@ -623,17 +693,13 @@ let alternatives t gid (ctx : Memo.context) =
   List.iter
     (fun (ge, op) ->
       List.iter
-        (fun child_reqs ->
-          Mutex.lock t.cost_lock;
-          let key = (ge.Memo.ge_id, child_reqs) in
-          let base = Hashtbl.find_opt t.cost_cache key in
-          Mutex.unlock t.cost_lock;
+        (fun v ->
           Option.iter
             (fun base ->
-              iter_chain_alternatives ~count:false t ctx gid ge child_reqs base
+              iter_chain_alternatives ~count:false t ctx gid ge v.v_reqs base
                 (fun alt -> alts := alt :: !alts))
-            base)
-        (child_requests t ge op ctx.Memo.cx_req))
+            (read_base t v))
+        (request_vectors t ge op ctx.Memo.cx_req))
     (Memo.physical_exprs (Memo.group t.memo gid));
   !alts
 
@@ -662,18 +728,18 @@ let opt_goal_memo t gid req =
   end
 
 (* Can every child spawn for this (gexpr, child-request vector) be elided?
-   True when the base-cost cache already holds the vector: the entry was
-   published under [cost_lock] after every child best became final, so the
-   mutex acquire on the lookup gives the happens-before ordering the goal
-   queue would otherwise provide — safe at any worker count. *)
-let children_already_costed t (ge : Memo.gexpr) child_reqs =
+   True when the vector already holds its base cost: it was published under
+   [cost_lock] after every child best became final, so the mutex acquire on
+   the lookup gives the happens-before ordering the goal queue would
+   otherwise provide — safe at any worker count. *)
+let children_already_costed t (ge : Memo.gexpr) v =
   t.speedups
   (* the sanitizer's race detector models ordering through goal-queue edges
      only; the mutex ordering this elision relies on is invisible to it, so
      keep the full spawn set whenever a trace is being collected *)
   && (not (Gpos.Trace.enabled ()))
   && (ge.Memo.ge_children = []
-     || Option.is_some (cached_base t ge child_reqs))
+     || Option.is_some (cached_base t v))
 
 let rec opt_group_job t gid req () =
   let gid = Memo.find t.memo gid in
@@ -708,7 +774,7 @@ let rec opt_group_job t gid req () =
       else Gpos.Scheduler.Wait_for jobs
 
 and opt_gexpr_job t ctx gid ge op req =
-  let alternatives = lazy (child_requests t ge op req) in
+  let alternatives = lazy (request_vectors t ge op req) in
   let stage = ref `Spawn in
   fun () ->
     match !stage with
@@ -719,15 +785,14 @@ and opt_gexpr_job t ctx gid ge op req =
            in any alternative; goal queues deduplicate *)
         let pairs =
           Lazy.force alternatives
-          |> List.concat_map (fun child_reqs ->
+          |> List.concat_map (fun v ->
                  (* an alternative whose base cost is already cached needs no
                     child spawns at all: its child winners are final *)
-                 if children_already_costed t ge child_reqs then begin
-                   bump_by t.counters.a_winner_skips
-                     (List.length child_reqs);
+                 if children_already_costed t ge v then begin
+                   bump_by t.counters.a_winner_skips (List.length v.v_reqs);
                    []
                  end
-                 else List.combine children child_reqs)
+                 else List.combine children v.v_reqs)
         in
         let pairs =
           if not t.speedups then pairs
@@ -754,14 +819,14 @@ and opt_gexpr_job t ctx gid ge op req =
         in
         if child_jobs = [] then (
           stage := `Cost;
-          List.iter (fun creqs -> cost_alternative t ctx gid ge op creqs)
+          List.iter (fun v -> cost_alternative t ctx gid ge op v)
             (Lazy.force alternatives);
           Gpos.Scheduler.Finished)
         else Gpos.Scheduler.Wait_for child_jobs
     | `Cost ->
         stage := `Done;
         List.iter
-          (fun creqs -> cost_alternative t ctx gid ge op creqs)
+          (fun v -> cost_alternative t ctx gid ge op v)
           (Lazy.force alternatives);
         Gpos.Scheduler.Finished
     | `Done -> Gpos.Scheduler.Finished
@@ -795,22 +860,22 @@ and opt_gexpr_direct t ctx gid ge op req =
   Gpos.Scheduler.preempt ();
   let children = List.map (Memo.find t.memo) ge.Memo.ge_children in
   List.iter
-    (fun child_reqs ->
-      (* one [cost_cache] probe per vector: a hit means every child winner
-         is final, so it both elides the child recursion and supplies the
-         base cost; a miss recurses, then [base_cost] looks again, since a
-         cycle through an ancestor's context may have filled the entry *)
-      match cached_base t ge child_reqs with
+    (fun v ->
+      (* one base read per vector: a hit means every child winner is final,
+         so it both elides the child recursion and supplies the base cost;
+         a miss recurses, then [base_cost] looks again, since a cycle
+         through an ancestor's context may have priced the vector *)
+      match cached_base t v with
       | Some base ->
-          bump_by t.counters.a_winner_skips (List.length child_reqs);
+          bump_by t.counters.a_winner_skips (List.length v.v_reqs);
           bump_by t.counters.a_base_reuses 1;
-          offer_alternatives t ctx gid ge child_reqs base
+          offer_alternatives t ctx gid ge v.v_reqs base
       | None ->
           List.iter2
             (fun cg cr -> opt_group_direct t cg cr)
-            children child_reqs;
-          cost_alternative t ctx gid ge op child_reqs)
-    (child_requests t ge op req)
+            children v.v_reqs;
+          cost_alternative t ctx gid ge op v)
+    (request_vectors t ge op req)
 
 (* --- wait for a context to be complete, then finalize --- *)
 
@@ -864,6 +929,7 @@ let implement t =
 
 let optimize t (req : Props.req) =
   freeze_group_caches t;
+  t.vectors <- Array.make (Memo.ngexprs t.memo) None;
   Memo.set_alternatives t.memo (alternatives t);
   let root = Memo.root t.memo in
   if t.direct_costing && not (Gpos.Trace.enabled ()) then
@@ -889,6 +955,24 @@ let run t (req : Props.req) : Expr.plan =
   Obs.Span.with_ ~name:"costing" (fun () -> optimize t req);
   Obs.Span.with_ ~name:"extract" (fun () ->
       Memolib.Extract.best_plan t.memo (Memo.root t.memo) req)
+
+let vector_reqs v = v.v_reqs
+let vector_priced v = Option.is_some v.v_base
+
+let priced_vectors t =
+  Mutex.lock t.cost_lock;
+  let n =
+    Array.fold_left
+      (fun acc -> function
+        | None -> acc
+        | Some r ->
+            List.fold_left
+              (fun acc v -> if vector_priced v then acc + 1 else acc)
+              acc r.r_pool)
+      0 t.vectors
+  in
+  Mutex.unlock t.cost_lock;
+  n
 
 (* --- observability snapshots (lib/obs) --- *)
 

@@ -67,6 +67,28 @@ val optimize : t -> Props.req -> unit
 val run : t -> Props.req -> Expr.plan
 (** All four steps, then extract the best plan for the request. *)
 
+(** {2 The request-vector table}
+
+    Costing asks each group expression for its child-request vectors
+    ({!Requests.alternatives}) once: once per expression, or once per parent
+    request for the operators that pass the request through
+    ({!Requests.passes_request}). Vectors equal under [Props.req_equal]
+    are one record, which holds the vector's base cost once priced. *)
+
+type vector
+
+val request_vectors :
+  t -> Memolib.Memo.gexpr -> Expr.physical -> Props.req -> vector list
+(** The expression's vectors under a parent request, in
+    {!Requests.alternatives} order, built on first use. *)
+
+val vector_reqs : vector -> Props.req list
+val vector_priced : vector -> bool
+(** Whether the vector holds its base cost. *)
+
+val priced_vectors : t -> int
+(** Vectors in the table that hold a base cost. *)
+
 (** {2 Work-count snapshots (lib/obs, lib/telemetry)} *)
 
 val rule_profile : t -> Obs.Report.rule_stat list

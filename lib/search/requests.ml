@@ -48,6 +48,13 @@ let join_dist_alternatives (kind : Expr.join_kind) ~(hash_keys : (Colref.t list 
   let singleton = [ (Props.Req_singleton, Props.Req_singleton) ] in
   colocated @ broadcast_inner @ broadcast_outer @ singleton
 
+(* Whether [alternatives] reads the incoming request: only the operators
+   that pass it through to a child do. *)
+let passes_request (op : Expr.physical) =
+  match op with
+  | Expr.P_filter _ | Expr.P_project _ | Expr.P_sequence _ -> true
+  | _ -> false
+
 (* Child request vectors for [op] under incoming request [req].
    [child_out_cols] lists each child group's output columns. *)
 let alternatives (op : Expr.physical) ~(req : Props.req)

@@ -24,3 +24,8 @@ val alternatives :
   Props.req list list
 (** Child request vectors for an operator under an incoming request. Each
     inner list has one request per child; leaves return [[[]]]. *)
+
+val passes_request : Expr.physical -> bool
+(** Whether {!alternatives} depends on the incoming request: true for
+    filter, project and sequence, which pass it through to a child; every
+    other operator asks the same vectors under any request. *)

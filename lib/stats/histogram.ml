@@ -130,6 +130,12 @@ let select_cmp t (op : Expr.cmp) (v : Datum.t) : t =
           if rows > 0.0 then
             Some { b with rows; ndv = Float.max 1.0 (b.ndv -. 1.0) }
           else None
+      | (Expr.Lt | Expr.Le) when Datum.compare v b.lo < 0 ->
+          (* the whole bucket lies above [v]; the string embedding of
+             [Datum.to_float] need not agree, and clipping [hi] to [v]
+             would leave [hi] below [lo] *)
+          None
+      | (Expr.Gt | Expr.Ge) when Datum.compare v b.hi > 0 -> None
       | Expr.Lt | Expr.Le ->
           let frac = bucket_fraction_below b v ~inclusive:(op = Expr.Le) in
           let rows = b.rows *. frac in
@@ -166,16 +172,33 @@ let selectivity_cmp t op v =
     let kept = total_rows (select_cmp t op v) in
     Float.min 1.0 (Float.max 0.0 (kept /. total))
 
-(* Split buckets of both histograms on each other's boundaries so that the
-   resulting bucket lists cover identical ranges where they overlap. *)
+(* The bucket invariant every producer keeps (histogram.mli): each bucket
+   has [lo <= hi], and each bucket's [hi] is at most the next one's [lo]
+   under [Datum.compare] (closed bounds may touch, as a point bucket [v,v]
+   touches its neighbours at [v]). The cut and merge walks below rely on
+   it: the bounds of a valid histogram, read in order, never decrease. *)
+let well_formed t =
+  let rec go prev_hi = function
+    | [] -> true
+    | b :: rest ->
+        Datum.compare b.lo b.hi <= 0
+        && (match prev_hi with
+           | None -> true
+           | Some h -> Datum.compare h b.lo <= 0)
+        && go (Some b.hi) rest
+  in
+  go None t.buckets
+
+(* Split [t]'s buckets on [boundaries], which never decrease (the bounds of
+   a valid histogram, in order), so the split pieces of two histograms
+   cover identical ranges where they overlap. The cuts strictly inside a
+   bucket are a contiguous run of [boundaries] that starts past every cut of
+   the buckets before it, so one forward pass finds them all; the run goes
+   through [List.sort_uniq] as a whole, which keeps the same representative
+   of equal cuts (say [Int 3] and [Float 3.0]) whatever else the list
+   holds. *)
 let split_on_boundaries (t : t) (boundaries : Datum.t list) : bucket list =
-  let split_bucket b =
-    let cuts =
-      boundaries
-      |> List.filter (fun v ->
-             Datum.compare v b.lo > 0 && Datum.compare v b.hi < 0)
-      |> List.sort_uniq Datum.compare
-    in
+  let split_bucket b cuts =
     match cuts with
     | [] -> [ b ]
     | cuts ->
@@ -212,13 +235,35 @@ let split_on_boundaries (t : t) (boundaries : Datum.t list) : bucket list =
           :: !pieces;
         List.rev !pieces
   in
-  List.concat_map split_bucket t.buckets
-
-let overlaps a b = Datum.compare a.lo b.hi <= 0 && Datum.compare b.lo a.hi <= 0
+  (* [rest]: the boundaries not yet passed; those at or below [b.lo] can
+     cut neither [b] nor any later bucket *)
+  let rec skip lo = function
+    | v :: rest when Datum.compare v lo <= 0 -> skip lo rest
+    | l -> l
+  in
+  let rec take hi acc = function
+    | v :: rest when Datum.compare v hi < 0 -> take hi (v :: acc) rest
+    | l -> (List.rev acc, l)
+  in
+  let rec walk rest out = function
+    | [] -> List.rev out
+    | b :: bs ->
+        let inside, rest = take b.hi [] (skip b.lo rest) in
+        let pieces = split_bucket b (List.sort_uniq Datum.compare inside) in
+        walk rest (List.rev_append pieces out) bs
+  in
+  walk boundaries [] t.buckets
 
 (* Equi-join of two column histograms. Returns (join row count, histogram of
    the join key in the result). Aligned-fragment containment estimate:
-   rows = r1 * r2 / max(ndv1, ndv2) per overlapping fragment. *)
+   rows = r1 * r2 / max(ndv1, ndv2) per overlapping fragment.
+
+   A merge walk: both piece lists are sorted and never overlap, so the [b]
+   pieces overlapping one [a] piece form a contiguous run — from the first
+   whose [hi] reaches [a.lo] to the last whose [lo] is within [a.hi] — and
+   the run's start never moves back as [a] advances. The walk visits the
+   overlapping pairs in the order of a nested loop over both lists, so the
+   fragments and the float sum come out in the same order. *)
 let join_eq (a : t) (b : t) : float * t =
   let bounds h =
     List.concat_map (fun bk -> [ bk.lo; bk.hi ]) h.buckets
@@ -227,40 +272,45 @@ let join_eq (a : t) (b : t) : float * t =
   let b_buckets = split_on_boundaries b (bounds a) in
   let out = ref [] in
   let total = ref 0.0 in
-  List.iter
-    (fun ba ->
-      List.iter
-        (fun bb ->
-          if overlaps ba bb then begin
-            (* fragment intersection *)
-            let lo = if Datum.compare ba.lo bb.lo >= 0 then ba.lo else bb.lo in
-            let hi = if Datum.compare ba.hi bb.hi <= 0 then ba.hi else bb.hi in
-            let frac bucket =
-              let bw = bucket_width bucket in
-              if bw <= 0.0 then 1.0
-              else
-                let w = Datum.to_float hi -. Datum.to_float lo in
-                Float.max 0.0 (Float.min 1.0 (w /. bw))
-            in
-            let ra = ba.rows *. frac ba and rb = bb.rows *. frac bb in
-            let na = Float.max 1.0 (ba.ndv *. frac ba)
-            and nb = Float.max 1.0 (bb.ndv *. frac bb) in
-            let rows = ra *. rb /. Float.max na nb in
-            if rows > 0.0 then begin
-              total := !total +. rows;
-              out := { lo; hi; rows; ndv = Float.min na nb } :: !out
-            end
-          end)
-        b_buckets)
-    a_buckets;
+  let join_pair ba bb =
+    (* fragment intersection *)
+    let lo = if Datum.compare ba.lo bb.lo >= 0 then ba.lo else bb.lo in
+    let hi = if Datum.compare ba.hi bb.hi <= 0 then ba.hi else bb.hi in
+    let frac bucket =
+      let bw = bucket_width bucket in
+      if bw <= 0.0 then 1.0
+      else
+        let w = Datum.to_float hi -. Datum.to_float lo in
+        Float.max 0.0 (Float.min 1.0 (w /. bw))
+    in
+    let fa = frac ba and fb = frac bb in
+    let ra = ba.rows *. fa and rb = bb.rows *. fb in
+    let na = Float.max 1.0 (ba.ndv *. fa)
+    and nb = Float.max 1.0 (bb.ndv *. fb) in
+    let rows = ra *. rb /. Float.max na nb in
+    if rows > 0.0 then begin
+      total := !total +. rows;
+      out := { lo; hi; rows; ndv = Float.min na nb } :: !out
+    end
+  in
+  let rec run ba = function
+    | bb :: rest when Datum.compare bb.lo ba.hi <= 0 ->
+        join_pair ba bb;
+        run ba rest
+    | _ -> ()
+  in
+  let rec start lo = function
+    | bb :: rest when Datum.compare bb.hi lo < 0 -> start lo rest
+    | l -> l
+  in
+  ignore
+    (List.fold_left
+       (fun from ba ->
+         let from = start ba.lo from in
+         run ba from;
+         from)
+       b_buckets a_buckets);
   (!total, { buckets = List.rev !out; null_rows = 0.0 })
-
-(* Merge two histograms of the same column domain (UNION ALL). *)
-let union_all (a : t) (b : t) : t =
-  {
-    buckets = a.buckets @ b.buckets;
-    null_rows = a.null_rows +. b.null_rows;
-  }
 
 let min_value t = match t.buckets with [] -> None | b :: _ -> Some b.lo
 

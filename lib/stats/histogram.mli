@@ -3,7 +3,14 @@
     estimates).
 
     Buckets carry absolute row counts, so histograms can be scaled, filtered
-    and joined while staying consistent with relation cardinalities. *)
+    and joined while staying consistent with relation cardinalities.
+
+    {b Invariant.} Buckets are sorted and never overlap: every bucket has
+    [lo <= hi], and every bucket's [hi] is at most the next bucket's [lo]
+    (under [Datum.compare]; closed bounds may touch, so point buckets
+    [[v,v]] may repeat). Every producer below keeps it, and [join_eq]
+    relies on it: its cut and merge walks are linear because the bounds of
+    a histogram, read in order, never decrease. *)
 
 open Ir
 
@@ -50,14 +57,16 @@ val select_cmp : t -> Expr.cmp -> Datum.t -> t
 val selectivity_cmp : t -> Expr.cmp -> Datum.t -> float
 (** Fraction of rows satisfying [col cmp const], in [0, 1]. *)
 
+val well_formed : t -> bool
+(** Whether the bucket invariant holds. *)
+
 val join_eq : t -> t -> float * t
 (** Equi-join of two column histograms: buckets are split on each other's
     boundaries and joined fragment-by-fragment with the containment
     assumption (rows = r1*r2 / max(ndv1, ndv2)). Returns the estimated join
-    cardinality and the join key's histogram in the result. *)
-
-val union_all : t -> t -> t
-(** Merge two histograms over the same column domain (UNION ALL). *)
+    cardinality and the join key's histogram in the result. Both inputs
+    must keep the bucket invariant; the cut and the merge are single
+    forward walks, O(n + m) plus the fragments emitted. *)
 
 val min_value : t -> Datum.t option
 val max_value : t -> Datum.t option

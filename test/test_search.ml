@@ -289,6 +289,132 @@ let test_bound_accounts_for_every_alternative () =
         (pruned > 0))
     [ 5; 75 ]
 
+(* One default-configuration stage over a TPC-DS query, built the way
+   [Orca.Optimizer] builds it, so the engine's request-vector table can be
+   read after costing. *)
+let costed_engine qid =
+  let config = Alt_digest.default_config in
+  let accessor = Fixtures.tpcds_accessor () in
+  let query =
+    Sqlfront.Binder.bind_sql accessor (Tpcds.Queries.get qid).Tpcds.Queries.sql
+  in
+  let factory = Catalog.Accessor.factory accessor in
+  Colref.Factory.bump factory (Dxl.Dxl_query.max_col_id query);
+  let tree =
+    (Xform.Decorrelate.run factory query.Dxl.Dxl_query.tree)
+      .Xform.Decorrelate.tree
+    |> Xform.Normalize.run
+    |> Xform.Prune_columns.run ~output:query.Dxl.Dxl_query.output
+  in
+  let rec to_mexpr (t : Ltree.t) : Memolib.Mexpr.t =
+    {
+      Memolib.Mexpr.op = Expr.Logical t.Ltree.op;
+      children =
+        List.map (fun c -> Memolib.Mexpr.Node (to_mexpr c)) t.Ltree.children;
+    }
+  in
+  let memo = Memo.create () in
+  let root = Memo.insert memo (to_mexpr tree) in
+  Memo.set_root memo (Memo.find memo root.Memo.ge_group);
+  let stage = List.hd config.Orca.Orca_config.stages in
+  let engine =
+    Search.Engine.create ~ruleset:stage.Xform.Ruleset.stage_rules
+      ~model:config.Orca.Orca_config.model ~factory
+      ~base:(Catalog.Accessor.base_stats accessor)
+      memo
+  in
+  let plan = Search.Engine.run engine (Orca.Optimizer.root_req query) in
+  (engine, memo, plan)
+
+(* The request-vector table prices each base once: every operator cost
+   model call fills one vector record, so on q5 and q75 the calls equal the
+   records holding a base. Each expression's vectors are what
+   [Requests.alternatives] asks under every context of its group, and a
+   pass-through operator's [[any]] vector is one record across the parent
+   requests that produce it. *)
+let test_each_base_priced_once () =
+  List.iter
+    (fun qid ->
+      let engine, memo, plan = costed_engine qid in
+      let report =
+        Alt_digest.optimize ~accessor:Fixtures.tpcds_accessor
+          ~config:(Orca.Orca_config.with_obs Alt_digest.default_config)
+          (Tpcds.Queries.get qid)
+      in
+      let obs = Option.get report.Orca.Optimizer.obs in
+      let costings =
+        (Search.Engine.search_profile engine).Obs.Report.c_op_costings
+      in
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "q%d: the optimizer's plan cost" qid)
+        report.Orca.Optimizer.plan.Expr.pcost plan.Expr.pcost;
+      Alcotest.(check int)
+        (Printf.sprintf "q%d: the optimizer's op costings" qid)
+        obs.Obs.Report.search.Obs.Report.c_op_costings costings;
+      Alcotest.(check int)
+        (Printf.sprintf "q%d: op costings = priced vectors" qid)
+        costings
+        (Search.Engine.priced_vectors engine);
+      let shared = ref 0 in
+      List.iter
+        (fun gid ->
+          let reqs =
+            List.map
+              (fun (c : Memo.context) -> c.Memo.cx_req)
+              (Memo.contexts_of_group memo gid)
+          in
+          List.iter
+            (fun ((ge : Memo.gexpr), op) ->
+              let per_req =
+                List.map
+                  (fun req -> (req, Search.Engine.request_vectors engine ge op req))
+                  reqs
+              in
+              List.iter
+                (fun (req, vs) ->
+                  let asked =
+                    Search.Requests.alternatives op ~req
+                      ~child_out_cols:
+                        (List.map (Memo.output_cols memo) ge.Memo.ge_children)
+                  in
+                  Alcotest.(check bool)
+                    (Printf.sprintf "q%d: ge %d's vectors under %s" qid
+                       ge.Memo.ge_id (Props.req_to_string req))
+                    true
+                    (List.equal (List.equal Props.req_equal) asked
+                       (List.map Search.Engine.vector_reqs vs)))
+                per_req;
+              if Search.Requests.passes_request op then
+                match
+                  List.concat_map
+                    (fun (_, vs) ->
+                      List.filter
+                        (fun v ->
+                          List.equal Props.req_equal
+                            (Search.Engine.vector_reqs v) [ Props.any_req ])
+                        vs)
+                    per_req
+                with
+                | v :: (_ :: _ as rest) ->
+                    incr shared;
+                    Alcotest.(check bool)
+                      (Printf.sprintf "q%d: ge %d's [any] is one record" qid
+                         ge.Memo.ge_id)
+                      true
+                      (List.for_all (fun w -> w == v) rest);
+                    Alcotest.(check bool)
+                      (Printf.sprintf "q%d: ge %d's [any] is priced" qid
+                         ge.Memo.ge_id)
+                      true
+                      (Search.Engine.vector_priced v)
+                | _ -> ())
+            (Memo.physical_exprs (Memo.group memo gid)))
+        (Memo.group_ids memo);
+      Alcotest.(check bool)
+        (Printf.sprintf "q%d: an [any] vector serves several requests" qid)
+        true (!shared > 0))
+    [ 5; 75 ]
+
 (* Rules fire in promise order, highest first. Each rule application on a
    source expression inserts its new expressions at once, so walking the
    expressions one source's exploration (or implementation) rules created,
@@ -362,6 +488,8 @@ let suite =
     Alcotest.test_case "index scan end to end" `Quick test_index_scan_end_to_end;
     Alcotest.test_case "bound: offered + pruned = derived (q5, q75)" `Quick
       test_bound_accounts_for_every_alternative;
+    Alcotest.test_case "each base priced once (q5, q75)" `Quick
+      test_each_base_priced_once;
     Alcotest.test_case "rules fire in promise order" `Quick
       test_rules_fire_in_promise_order;
   ]

@@ -248,16 +248,234 @@ let prop_join_bounded_by_cross =
       card
       <= (Stats.Histogram.total_rows a *. Stats.Histogram.total_rows b) +. 1.0)
 
-let prop_union_all_adds =
-  QCheck.Test.make ~count:60 ~name:"union_all adds row counts"
-    (QCheck.make (QCheck.Gen.pair values_gen values_gen))
-    (fun (va, vb) ->
-      let a = Stats.Histogram.build va and b = Stats.Histogram.build vb in
-      let u = Stats.Histogram.union_all a b in
-      Float.abs
-        (Stats.Histogram.total_rows u
-        -. (Stats.Histogram.total_rows a +. Stats.Histogram.total_rows b))
-      < 0.5)
+(* --- the bucket invariant and the linear join --- *)
+
+module H = Stats.Histogram
+
+(* Column domains for generated histograms. [Mixed] holds Int and Float
+   datums, some numerically equal ([Int 3], [Float 3.0]); [Strings] share
+   long prefixes, so [Datum.to_float]'s eight-character embedding ties or
+   inverts values that [Datum.compare] orders. *)
+type domain = Ints | Floats | Mixed | Dates | Strings
+
+let domain_gen = QCheck.Gen.oneofl [ Ints; Floats; Mixed; Dates; Strings ]
+
+let datum_gen domain =
+  let open QCheck.Gen in
+  match domain with
+  | Ints -> map (fun n -> Datum.Int n) (int_bound 60)
+  | Floats -> map (fun n -> Datum.Float (float_of_int n /. 2.0)) (int_bound 120)
+  | Mixed ->
+      oneof
+        [
+          map (fun n -> Datum.Int n) (int_bound 60);
+          map (fun n -> Datum.Float (float_of_int n /. 2.0)) (int_bound 120);
+        ]
+  | Dates -> map (fun n -> Datum.Date (36_500 + n)) (int_bound 200)
+  | Strings ->
+      map
+        (fun (prefix, tail) -> Datum.String (String.make prefix 'a' ^ tail))
+        (pair (int_bound 9) (string_size ~gen:(oneofl [ 'a'; 'b'; 'c' ]) (int_bound 3)))
+
+let cmp_gen =
+  QCheck.Gen.oneofl [ Expr.Eq; Expr.Neq; Expr.Lt; Expr.Le; Expr.Gt; Expr.Ge ]
+
+let built_gen domain =
+  let open QCheck.Gen in
+  map2
+    (fun nbuckets values -> H.build ~nbuckets values)
+    (int_range 1 12)
+    (list_size (int_bound 80)
+       (frequency [ (9, datum_gen domain); (1, return Datum.Null) ]))
+
+let key_col = Fixtures.col 1 "k"
+
+(* [Derive]'s duplicate-eliminated histogram of a grouping key *)
+let distinct h =
+  match
+    Stats.Relstats.col_hist
+      (Stats.Derive.gb_agg_stats [ key_col ] []
+         (Stats.Relstats.make ~rows:(H.total_rows h) [ (key_col, h) ]))
+      key_col
+  with
+  | Some d -> d
+  | None -> h
+
+(* A histogram from the producers the optimizer uses: [build] or [uniform],
+   then up to three of [scale], [select_cmp], duplicate elimination and a
+   [join_eq] against another built histogram. *)
+let hist_gen domain =
+  let open QCheck.Gen in
+  let base =
+    frequency
+      [
+        (4, built_gen domain);
+        ( 1,
+          map3
+            (fun x y rows ->
+              let lo, hi = if Datum.compare x y <= 0 then (x, y) else (y, x) in
+              H.uniform ~lo ~hi ~rows:(float_of_int rows)
+                ~ndv:(float_of_int (1 + (rows / 3))))
+            (datum_gen domain) (datum_gen domain) (int_bound 500) );
+      ]
+  in
+  let step h =
+    frequency
+      [
+        (2, map (fun f -> H.scale h (float_of_int f /. 8.0)) (int_bound 16));
+        (3, map2 (fun op v -> H.select_cmp h op v) cmp_gen (datum_gen domain));
+        (1, return (distinct h));
+        (2, map (fun other -> snd (H.join_eq h other)) (built_gen domain));
+      ]
+  in
+  base >>= fun h ->
+  int_bound 3 >>= fun n ->
+  let rec go h n = if n = 0 then return h else step h >>= fun h -> go h (n - 1) in
+  go h n
+
+let print_hist = H.to_string
+
+let prop_producers_keep_invariant =
+  QCheck.Test.make ~count:400
+    ~name:"histogram producers keep buckets sorted and non-overlapping"
+    (QCheck.make ~print:print_hist (QCheck.Gen.( >>= ) domain_gen hist_gen))
+    H.well_formed
+
+(* The quadratic join the merge walk replaced, kept as the reference: every
+   bucket is cut on every boundary of the other side that lies inside it,
+   then every pair of pieces is tested for overlap. *)
+module Quadratic = struct
+  let bucket_width (b : H.bucket) =
+    Float.max (Datum.to_float b.H.hi -. Datum.to_float b.H.lo) 0.0
+
+  let split (t : H.t) boundaries =
+    let split_bucket (b : H.bucket) =
+      let cuts =
+        boundaries
+        |> List.filter (fun v ->
+               Datum.compare v b.H.lo > 0 && Datum.compare v b.H.hi < 0)
+        |> List.sort_uniq Datum.compare
+      in
+      match cuts with
+      | [] -> [ b ]
+      | cuts ->
+          let width_total = Float.max (bucket_width b) 1e-9 in
+          let piece lo hi =
+            let w = (Datum.to_float hi -. Datum.to_float lo) /. width_total in
+            let w = Float.max 0.0 (Float.min 1.0 w) in
+            { H.lo; hi; rows = b.H.rows *. w; ndv = Float.max 1.0 (b.H.ndv *. w) }
+          in
+          let rec go lo = function
+            | [] -> [ piece lo b.H.hi ]
+            | cut :: rest -> piece lo cut :: go cut rest
+          in
+          go b.H.lo cuts
+    in
+    List.concat_map split_bucket t.H.buckets
+
+  let join_eq (a : H.t) (b : H.t) =
+    let bounds h = List.concat_map (fun (bk : H.bucket) -> [ bk.H.lo; bk.H.hi ]) h.H.buckets in
+    let a_pieces = split a (bounds b) and b_pieces = split b (bounds a) in
+    let out = ref [] and total = ref 0.0 in
+    List.iter
+      (fun (ba : H.bucket) ->
+        List.iter
+          (fun (bb : H.bucket) ->
+            if Datum.compare ba.H.lo bb.H.hi <= 0 && Datum.compare bb.H.lo ba.H.hi <= 0
+            then begin
+              let lo = if Datum.compare ba.H.lo bb.H.lo >= 0 then ba.H.lo else bb.H.lo in
+              let hi = if Datum.compare ba.H.hi bb.H.hi <= 0 then ba.H.hi else bb.H.hi in
+              let frac bucket =
+                let bw = bucket_width bucket in
+                if bw <= 0.0 then 1.0
+                else
+                  Float.max 0.0
+                    (Float.min 1.0 ((Datum.to_float hi -. Datum.to_float lo) /. bw))
+              in
+              let ra = ba.H.rows *. frac ba and rb = bb.H.rows *. frac bb in
+              let na = Float.max 1.0 (ba.H.ndv *. frac ba)
+              and nb = Float.max 1.0 (bb.H.ndv *. frac bb) in
+              let rows = ra *. rb /. Float.max na nb in
+              if rows > 0.0 then begin
+                total := !total +. rows;
+                out := { H.lo; hi; rows; ndv = Float.min na nb } :: !out
+              end
+            end)
+          b_pieces)
+      a_pieces;
+    (!total, { H.buckets = List.rev !out; null_rows = 0.0 })
+end
+
+let same_float x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+(* Bounds compare by constructor and payload ([Int 3] is not [Float 3.0]),
+   floats by bit pattern. *)
+let same_datum x y =
+  match (x, y) with
+  | Datum.Float a, Datum.Float b -> same_float a b
+  | _ -> x = y
+
+let same_join (t1, (h1 : H.t)) (t2, (h2 : H.t)) =
+  same_float t1 t2
+  && same_float h1.H.null_rows h2.H.null_rows
+  && List.length h1.H.buckets = List.length h2.H.buckets
+  && List.for_all2
+       (fun (x : H.bucket) (y : H.bucket) ->
+         same_datum x.H.lo y.H.lo && same_datum x.H.hi y.H.hi
+         && same_float x.H.rows y.H.rows && same_float x.H.ndv y.H.ndv)
+       h1.H.buckets h2.H.buckets
+
+(* Numeric domains may meet in one join (an Int key against a Float one). *)
+let join_inputs_gen =
+  let open QCheck.Gen in
+  domain_gen >>= fun d ->
+  let partner =
+    match d with
+    | Ints | Floats | Mixed -> oneofl [ Ints; Floats; Mixed ]
+    | d -> return d
+  in
+  partner >>= fun d' -> triple (hist_gen d) (hist_gen d') (hist_gen d')
+
+let prop_join_matches_quadratic =
+  QCheck.Test.make ~count:400
+    ~name:"linear join_eq is bit-identical to the quadratic join"
+    (QCheck.make
+       ~print:(fun (a, b, c) ->
+         String.concat "\n" [ print_hist a; print_hist b; print_hist c ])
+       join_inputs_gen)
+    (fun (a, b, c) ->
+      let ((_, ab) as linear) = H.join_eq a b in
+      let reference = Quadratic.join_eq a b in
+      same_join linear reference
+      && same_join (H.join_eq ab c) (Quadratic.join_eq (snd reference) c)
+      && same_join (H.join_eq c a) (Quadratic.join_eq c a))
+
+(* Point buckets and touching bounds, spelled out: the walk must pair a
+   point bucket with both neighbours it touches, as the nested loop does. *)
+let test_join_points_and_touching () =
+  let b lo hi rows ndv = { H.lo = Datum.Int lo; hi = Datum.Int hi; rows; ndv } in
+  let a =
+    { H.buckets = [ b 0 5 10.0 5.0; b 5 5 3.0 1.0; b 5 9 8.0 4.0; b 12 12 2.0 1.0 ];
+      null_rows = 1.0 }
+  in
+  let c =
+    { H.buckets = [ b 2 5 6.0 3.0; b 5 5 4.0 1.0; b 5 12 9.0 7.0 ]; null_rows = 0.0 }
+  in
+  Alcotest.(check bool) "inputs well formed" true (H.well_formed a && H.well_formed c);
+  Alcotest.(check bool) "a join c" true (same_join (H.join_eq a c) (Quadratic.join_eq a c));
+  Alcotest.(check bool) "c join a" true (same_join (H.join_eq c a) (Quadratic.join_eq c a));
+  (* [Float 3.0] and [Int 3] are equal cuts inside [0, 5]: the pieces must
+     keep the one the nested loop kept *)
+  let f x = Datum.Float x and i x = Datum.Int x in
+  let ints = { H.buckets = [ { H.lo = i 0; hi = i 5; rows = 10.0; ndv = 5.0 } ]; null_rows = 0.0 } in
+  let mixed =
+    { H.buckets =
+        [ { H.lo = f 0.0; hi = f 3.0; rows = 4.0; ndv = 3.0 };
+          { H.lo = i 3; hi = i 6; rows = 6.0; ndv = 3.0 } ];
+      null_rows = 0.0 }
+  in
+  Alcotest.(check bool) "mixed representations" true
+    (same_join (H.join_eq ints mixed) (Quadratic.join_eq ints mixed))
 
 let suite =
   [
@@ -279,5 +497,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_filter_bounded;
     QCheck_alcotest.to_alcotest prop_lt_ge_partition;
     QCheck_alcotest.to_alcotest prop_join_bounded_by_cross;
-    QCheck_alcotest.to_alcotest prop_union_all_adds;
+    Alcotest.test_case "join points and touching bounds" `Quick
+      test_join_points_and_touching;
+    QCheck_alcotest.to_alcotest prop_producers_keep_invariant;
+    QCheck_alcotest.to_alcotest prop_join_matches_quadratic;
   ]
